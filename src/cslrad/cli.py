@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 from . import detector, emission, limits
@@ -31,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CONSTANTS, M_NUCLEON, EnergyWindow
+from .domain import CONSTANTS, M_NUCLEON, EnergyWindow, check_finite_positive
 from .specfun import QuadratureSpec, integrate
 
 
@@ -54,6 +54,8 @@ class EfficiencyPoly:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("efficiency polynomial needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError(f"efficiency coefficients must be finite, got {self.coeffs}")
         if self.uncertainties is not None:
             object.__setattr__(self, "uncertainties", tuple(self.uncertainties))
             if len(self.uncertainties) != len(self.coeffs):
@@ -138,8 +140,7 @@ class MaterialComponent:
 
     def __post_init__(self):
         for attr in ("n_protons", "atoms_per_kg", "mass", "live_time"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive for '{self.name}'")
+            check_finite_positive(getattr(self, attr), f"{attr} of '{self.name}'")
 
     @property
     def alpha(self) -> float:

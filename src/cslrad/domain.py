@@ -16,6 +16,15 @@ import math
 from dataclasses import dataclass
 
 
+def check_finite_positive(value, name: str) -> None:
+    """Raise ValueError unless value is a finite number above zero.
+
+    Written so that NaN fails too: ``NaN <= 0`` is false.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysConstants:
     """CODATA 2018 constants, frozen so results are bit-reproducible."""
@@ -28,8 +37,7 @@ class PhysConstants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "eps0", "e_charge", "amu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            check_finite_positive(getattr(self, name), name)
 
 
 CONSTANTS = PhysConstants()
@@ -73,12 +81,8 @@ class NoiseParams:
     m0: float = M_NUCLEON
 
     def __post_init__(self):
-        if self.lambda_collapse <= 0:
-            raise ValueError("lambda_collapse must be positive")
-        if self.r_c <= 0:
-            raise ValueError("r_c must be positive")
-        if self.m0 <= 0:
-            raise ValueError("m0 must be positive")
+        for name in ("lambda_collapse", "r_c", "m0"):
+            check_finite_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,15 @@ class Particle:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("particle mass must be positive")
+        if not math.isfinite(self.charge_e):
+            raise ValueError(f"charge_e must be finite, got {self.charge_e!r}")
+        check_finite_positive(self.mass, "particle mass")
         if len(self.position) != 3:
             raise ValueError("position must be a 3-vector")
-        object.__setattr__(self, "position", tuple(float(x) for x in self.position))
+        position = tuple(float(x) for x in self.position)
+        if not all(math.isfinite(x) for x in position):
+            raise ValueError(f"position must be finite, got {position!r}")
+        object.__setattr__(self, "position", position)
 
     @property
     def charge_coulomb(self) -> float:
@@ -138,13 +146,16 @@ def particle_system_from_json(text: str) -> ParticleSystem:
         pos = entry["position_m"]
         if not isinstance(pos, (list, tuple)) or len(pos) != 3:
             raise ValueError(f"particle {i}: 'position_m' must be a 3-element array")
-        particles.append(
-            Particle(
-                charge_e=float(entry["charge_e"]),
-                mass=float(entry["mass_kg"]),
-                position=tuple(float(x) for x in pos),
+        try:
+            particles.append(
+                Particle(
+                    charge_e=float(entry["charge_e"]),
+                    mass=float(entry["mass_kg"]),
+                    position=tuple(float(x) for x in pos),
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"particle {i}: {exc}") from None
     return ParticleSystem(tuple(particles))
 
 
@@ -156,9 +167,9 @@ class EnergyWindow:
     e_max: float
 
     def __post_init__(self):
-        if not 0 < self.e_min < self.e_max:
+        if not 0 < self.e_min < self.e_max < math.inf:
             raise ValueError(
-                f"need 0 < e_min < e_max, got ({self.e_min}, {self.e_max})"
+                f"need 0 < e_min < e_max < inf, got ({self.e_min}, {self.e_max})"
             )
 
     @property

@@ -101,6 +101,35 @@ def test_usage_errors_exit_1(argv):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--r-c", "inf"],
+    ["limit", "--r-c", "nan"],
+    ["limit", "--credibility", "nan"],
+    ["rate", "--atoms", "inf", "--na", "32"],
+])
+def test_non_finite_numbers_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert re.match(rf"cslrad {argv[0]}: error: argument {argv[1]}: ", last)
+
+
+def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
+    particles = [{"charge_e": float("nan"), "mass_kg": 1.67262192369e-27,
+                  "position_m": [0.0, 0.0, 0.0]}]
+    system = write_json(tmp_path, "nan_system.json", particles)
+    inventory = json.loads(GE_INVENTORY.read_text())
+    inventory["materials"][0]["atoms_per_kg"] = float("nan")
+    inventory = write_json(tmp_path, "nan_inventory.json", inventory)
+    for argv in (["rate", "--system", system], ["regime", "--system", system],
+                 ["shape", "--inventory", inventory]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cslrad: error: ")
+
+
 # --- exclusion --------------------------------------------------------------
 
 def test_exclusion_default_csv(capsys):

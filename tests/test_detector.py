@@ -181,6 +181,16 @@ def test_material_rejects_nonpositive(field_name):
         MaterialComponent(**kwargs)
 
 
+@pytest.mark.parametrize("field_name", ["atoms_per_kg", "mass", "live_time"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_material_rejects_non_finite(field_name, bad):
+    kwargs = dict(name="x", n_protons=1, atoms_per_kg=1.0, mass=1.0,
+                  live_time=1.0, efficiency=EfficiencyPoly((1.0,)))
+    kwargs[field_name] = bad
+    with pytest.raises(ValueError, match=field_name):
+        MaterialComponent(**kwargs)
+
+
 # --- signal density ---------------------------------------------------------
 
 def test_signal_density_zero_ratio():
@@ -363,6 +373,11 @@ def _broken(mutate):
     (lambda d: d["materials"][0].update(n_protons=32.0), "n_protons"),
     (lambda d: d["materials"][0].update(n_protons=True), "n_protons"),
     (lambda d: d["materials"].__setitem__(0, 7), "expected an object"),
+    (lambda d: d["materials"][0].update(atoms_per_kg=math.nan), "atoms_per_kg"),
+    (lambda d: d["materials"][0].update(live_time_s=math.inf), "live_time"),
+    (lambda d: d.update(window_kev=[1000.0, math.inf]), "e_max < inf"),
+    (lambda d: d["materials"][0]["efficiency_coeffs"].__setitem__(0, math.nan),
+     "efficiency coefficients"),
 ])
 def test_inventory_errors_name_the_problem(mutate, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -88,6 +88,15 @@ def test_noise_params_validation():
         NoiseParams(lambda_collapse=1e-16, r_c=1e-7, m0=0.0)
 
 
+@pytest.mark.parametrize("field", ["lambda_collapse", "r_c", "m0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_noise_params_rejects_non_finite(field, bad):
+    kwargs = dict(lambda_collapse=1e-16, r_c=1e-7, m0=M_PROTON)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=field):
+        NoiseParams(**kwargs)
+
+
 def test_particle_fields():
     p = Particle(charge_e=1.0, mass=M_PROTON, position=(1.0, 2.0, 3.0))
     assert p.position == (1.0, 2.0, 3.0)
@@ -101,6 +110,13 @@ def test_particle_validation():
         Particle(charge_e=1.0, mass=0.0)
     with pytest.raises(ValueError):
         Particle(charge_e=1.0, mass=M_PROTON, position=(1.0, 2.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="charge_e"):
+            Particle(charge_e=bad, mass=M_PROTON)
+        with pytest.raises(ValueError, match="mass"):
+            Particle(charge_e=1.0, mass=bad)
+        with pytest.raises(ValueError, match="position"):
+            Particle(charge_e=1.0, mass=M_PROTON, position=(0.0, bad, 0.0))
 
 
 def test_particle_system_preserves_order_and_rejects_empty():
@@ -131,6 +147,21 @@ def test_particle_system_json_round_trip():
     ('[{"mass_kg": 1e-27, "position_m": [0,0,0]}]', "charge_e"),
     ('[{"charge_e": 1, "mass_kg": 1e-27}]', "position_m"),
     ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,0]}]', "3-element"),
+    ('[{"charge_e": NaN, "mass_kg": 1e-27, "position_m": [0,0,0]}]',
+     "particle 0: charge_e"),
+    ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,0,0]},'
+     ' {"charge_e": -Infinity, "mass_kg": 1e-27, "position_m": [0,0,0]}]',
+     "particle 1: charge_e"),
+    ('[{"charge_e": 1, "mass_kg": Infinity, "position_m": [0,0,0]}]',
+     "particle 0: particle mass"),
+    ('[{"charge_e": 1, "mass_kg": NaN, "position_m": [0,0,0]}]',
+     "particle 0: particle mass"),
+    ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,NaN,0]}]',
+     "particle 0: position"),
+    ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,0,Infinity]}]',
+     "particle 0: position"),
+    ('[{"charge_e": null, "mass_kg": 1e-27, "position_m": [0,0,0]}]',
+     "particle 0: float"),
 ])
 def test_particle_system_json_errors_name_the_problem(payload, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -146,7 +177,8 @@ def test_energy_window():
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-5.0, 10.0), (10.0, 10.0),
-                                    (20.0, 10.0)])
+                                    (20.0, 10.0), (10.0, math.inf),
+                                    (math.nan, 10.0), (10.0, math.nan)])
 def test_energy_window_validation(lo, hi):
     with pytest.raises(ValueError):
         EnergyWindow(lo, hi)

@@ -15,7 +15,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cslrad.domain import M_NUCLEON, NoiseParams, Particle, ParticleSystem
@@ -406,6 +406,82 @@ def test_general_positive_for_same_sign_clusters(n, log_scale, seed):
     assert float(rate_general(ParticleSystem(parts), NOISE, 1000.0)) >= 0.0
 
 
+def test_general_value_is_a_python_float():
+    system = ParticleSystem((proton(), proton(1e-12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = rate_general(system, NOISE, 1000.0)
+        assert type(density.value) is float
+        assert type(float(density)) is float
+
+
+def _general_pair_sum_by_loop(particles, noise, energy_kev):
+    """(sum_ij, sum_i) of q_i q_j e^2 / (m_i m_j) f_ij sinc(b_ij), pair by pair."""
+    k = omega_of(energy_kev) / C_LIGHT
+    off_diagonal = diagonal = 0.0
+    for i, p in enumerate(particles):
+        for q in particles[i:]:
+            d = tuple(a - b for a, b in zip(p.position, q.position))
+            f_ij, _ = f_ij_point(d, p.mass, q.mass, noise.r_c)
+            term = (p.charge_e * q.charge_e * E_CHARGE ** 2 / (p.mass * q.mass)
+                    * f_ij * coherence_factor(k * math.dist(p.position, q.position)))
+            if q is p:
+                diagonal += term
+            else:
+                off_diagonal += term
+    return diagonal + 2.0 * off_diagonal, diagonal
+
+
+# Each example runs an O(N^2) Python loop, so a failure is reported as
+# drawn: shrinking would re-run that loop hundreds of times.
+@settings(max_examples=15, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(min_value=150, max_value=400),
+       st.floats(min_value=-16.0, max_value=-6.0),
+       st.floats(min_value=10.0, max_value=1e5),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_general_matches_pair_loop_across_blocks(n, log_scale, energy, neutral,
+                                                 seed):
+    # systems large enough to span several row blocks of the pair kernel,
+    # some neutral and some with coincident particles
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    pos = rng.uniform(-scale, scale, (n, 3))
+    pos[rng.integers(0, n, n // 10)] = pos[0]
+    charges = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+    if neutral:
+        half = n // 2
+        charges[half:2 * half] = -charges[:half]
+        charges[2 * half:] = 0.0
+    masses = M_NUCLEON * rng.uniform(0.0005, 240.0, n)
+    parts = [Particle(float(q), float(m), tuple(x))
+             for q, m, x in zip(charges, masses, pos.tolist())]
+    total, diagonal = _general_pair_sum_by_loop(parts, NOISE, energy)
+    scale_to_rate = (HBAR * NOISE.lambda_collapse * KEV
+                     / (6.0 * math.pi ** 2 * EPS0 * C_LIGHT ** 3
+                        * M_NUCLEON ** 2 * omega_of(energy) * HBAR))
+    got = float(rate_general(ParticleSystem(parts), NOISE, energy))
+    # relative to the diagonal sum, since a neutral system cancels
+    assert abs(got - total * scale_to_rate) <= 1e-10 * diagonal * scale_to_rate
+
+    regime = classify_regime(ParticleSystem(parts), NOISE, energy)
+    seps = [math.dist(parts[i].position, parts[j].position)
+            for i in range(n) for j in range(i + 1, n)]
+    assert regime.min_separation == 0.0 == min(seps)
+    assert regime.max_separation == pytest.approx(max(seps), rel=1e-14)
+
+
+def test_pair_kernel_raises_on_overflowing_separations():
+    # |d|^2 overflows float64 past ~1.3e154 m; no finite answer is reported
+    system = ParticleSystem((proton(1e160), proton(-1e160)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflow"):
+            rate_general(system, NOISE, 1000.0)
+        with pytest.raises(ValueError, match="overflow"):
+            classify_regime(system, NOISE, 1000.0)
+
+
 def test_general_rejects_nonpositive_energy():
     with pytest.raises(ValueError):
         rate_general(ParticleSystem((proton(),)), NOISE, -5.0)
@@ -437,6 +513,21 @@ def test_regime_single_particle_is_coherent():
     regime = classify_regime(ParticleSystem((proton(),)), NOISE, 1000.0)
     assert regime.kind is RegimeKind.COHERENT
     assert regime.max_separation == 0.0
+
+
+@given(st.integers(min_value=2, max_value=300),
+       st.floats(min_value=-16.0, max_value=-6.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_regime_separations_match_direct_pairs(n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-16.0, -6.0)
+    pos = offset + rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** log_scale
+    parts = tuple(proton(*x) for x in pos.tolist())
+    regime = classify_regime(ParticleSystem(parts), NOISE, 1000.0)
+    seps = [math.dist(parts[i].position, parts[j].position)
+            for i in range(n) for j in range(i + 1, n)]
+    assert regime.max_separation == pytest.approx(max(seps), rel=1e-14)
+    assert regime.min_separation == pytest.approx(min(seps), rel=1e-14)
 
 
 def test_regime_reports_scales():
