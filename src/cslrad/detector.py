@@ -197,12 +197,26 @@ def signal_shape(model: SignalModel, n_points: int):
     """Sampled signal spectrum over the window, normalized to unit area.
 
     Returns (energies_kev, density_per_kev) arrays whose trapezoid
-    integral is 1.  The shape is independent of lam/r_c^2.
+    integral is 1.  The shape is independent of lam/r_c^2.  Each
+    material whose fit goes negative on the grid is clamped to 0 there,
+    with one EfficiencyClampWarning naming it.
     """
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
     energies = np.linspace(model.window.e_min, model.window.e_max, n_points)
-    density = np.array([signal_density(model, 1.0, e) for e in energies])
+    total = np.zeros(n_points)
+    # Same operations, in the same order, as signal_density at each energy.
+    for mat in model.materials:
+        eff = np.polyval(mat.efficiency.coeffs[::-1], energies)
+        negative = eff < 0.0
+        if negative.any():
+            warnings.warn(
+                f"efficiency polynomial of '{mat.name}' negative at "
+                f"{np.count_nonzero(negative)} of {n_points} energies "
+                f"(down to {eff.min():.3e}); clamped to 0",
+                EfficiencyClampWarning, stacklevel=2)
+        total += mat.n_protons ** 2 * mat.alpha * np.maximum(eff, 0.0)
+    density = total * model.beta / energies
     area = np.trapezoid(density, energies)
     if area <= 0.0:
         raise ValueError("signal density is identically zero; cannot normalize")

@@ -19,7 +19,7 @@ result is flagged instead of going negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class CountingExperiment:
     z_b: int
     a: float = DEFAULT_SIGNAL_CONSTANT
     window: EnergyWindow = DEFAULT_WINDOW
+    # Count quantiles already solved for this experiment, keyed by
+    # credibility; filled by credible_count_bound.
+    _count_bounds: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z_c", _check_count("z_c", self.z_c))
@@ -89,35 +93,54 @@ class UpperLimit:
         return self.lambda_max is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExclusionCurve:
-    """Monotone lam_max(r_c) boundary sampled on an increasing r_c grid."""
+    """Monotone lam_max(r_c) boundary sampled on an increasing r_c grid.
 
-    points: tuple[tuple[float, float], ...]
+    ``points`` is a read-only (n, 2) float array of (r_c, lam_max) rows.
+    """
+
+    points: np.ndarray
     credibility: float
     lambda_bar_c: float
 
     def __post_init__(self):
-        pts = tuple((float(r), float(l)) for r, l in self.points)
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+            raise ValueError("exclusion curve needs at least 2 (r_c, lambda_max) "
+                             f"points, got an array of shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("exclusion curve points must be finite")
+        r, lam = pts[:, 0], pts[:, 1]
+        if not (r[0] > 0.0 and np.all(np.diff(r) > 0.0)):
+            raise ValueError("r_c grid must be positive and strictly increasing")
+        if not (lam[0] > 0.0 and np.all(np.diff(lam) > 0.0)):
+            raise ValueError("lambda_max must be positive and strictly increasing")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise ValueError("exclusion curve needs at least 2 points")
-        for (r0, l0), (r1, l1) in zip(pts, pts[1:]):
-            if not (0.0 < r0 < r1):
-                raise ValueError("r_c grid must be positive and strictly increasing")
-            if not (0.0 < l0 < l1):
-                raise ValueError("lambda_max must be positive and strictly increasing")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExclusionCurve):
+            return NotImplemented
+        return (self.credibility == other.credibility
+                and self.lambda_bar_c == other.lambda_bar_c
+                and np.array_equal(self.points, other.points))
+
+    def __hash__(self) -> int:
+        # Validated points hold no NaN and no zero, so equal arrays have
+        # equal bytes.
+        return hash((self.points.tobytes(), self.credibility, self.lambda_bar_c))
 
     def __len__(self) -> int:
         return len(self.points)
 
     @property
-    def r_c_values(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
+    def r_c_values(self) -> np.ndarray:
+        return self.points[:, 0]
 
     @property
-    def lambda_values(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
+    def lambda_values(self) -> np.ndarray:
+        return self.points[:, 1]
 
 
 def posterior_pdf(exp: CountingExperiment, lambda_c: float) -> float:
@@ -142,10 +165,23 @@ def posterior_cdf(exp: CountingExperiment, lambda_c: float) -> float:
 
 
 def credible_count_bound(exp: CountingExperiment, credibility: float) -> float:
-    """Upper credible bound Lambda_bar on the total Poisson mean."""
+    """Upper credible bound Lambda_bar on the total Poisson mean.
+
+    Solved once per experiment and credibility; later calls read the
+    value the experiment keeps.
+    """
     if not (0.0 < credibility < 1.0):
         raise ValueError(f"credibility must be in (0, 1), got {credibility}")
-    return gamma_quantile(exp.z_c + 1.0, credibility)
+    bounds = exp._count_bounds
+    if credibility not in bounds:
+        bounds[credibility] = gamma_quantile(exp.z_c + 1.0, credibility)
+    return bounds[credibility]
+
+
+def _signal_quota(exp: CountingExperiment, credibility: float):
+    """The count bound Lambda_bar and the signal budget Lambda_bar - z_b - 2."""
+    lambda_bar = credible_count_bound(exp, credibility)
+    return lambda_bar, lambda_bar - exp.z_b - 2.0
 
 
 def upper_limit_lambda(exp: CountingExperiment, r_c: float,
@@ -158,8 +194,7 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
     """
     if r_c <= 0:
         raise ValueError(f"correlation length must be positive, got {r_c}")
-    lambda_bar = credible_count_bound(exp, credibility)
-    quota = lambda_bar - exp.z_b - 2.0
+    lambda_bar, quota = _signal_quota(exp, credibility)
     lambda_max = quota * r_c ** 2 / exp.a if quota > 0.0 else None
     return UpperLimit(lambda_max=lambda_max, r_c=r_c, credibility=credibility,
                       lambda_bar_c=lambda_bar, signal_quota=quota)
@@ -172,21 +207,22 @@ def exclusion_curve(exp: CountingExperiment,
     """Sample lam_max over a log-uniform r_c grid.
 
     The count quantile does not depend on r_c, so it is solved once and
-    every grid point reuses it.
+    the whole grid is one array expression.
     """
     if not (0.0 < r_c_min < r_c_max):
         raise ValueError(
             f"need 0 < r_c_min < r_c_max, got {r_c_min} and {r_c_max}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
-    lambda_bar = credible_count_bound(exp, credibility)
-    quota = lambda_bar - exp.z_b - 2.0
+    lambda_bar, quota = _signal_quota(exp, credibility)
     if quota <= 0.0:
         raise NoPositiveLimitError(
             f"signal quota {quota:.3e} is not positive at credibility "
             f"{credibility}; no exclusion curve exists")
     grid = np.logspace(math.log10(r_c_min), math.log10(r_c_max), n_points)
-    points = tuple((float(r), quota * float(r) ** 2 / exp.a) for r in grid)
+    # lam_max overflowing to inf is rejected by ExclusionCurve.
+    with np.errstate(over="ignore"):
+        points = np.column_stack((grid, quota * grid ** 2 / exp.a))
     return ExclusionCurve(points=points, credibility=credibility,
                           lambda_bar_c=lambda_bar)
 
@@ -194,5 +230,5 @@ def exclusion_curve(exp: CountingExperiment,
 def write_exclusion_csv(curve: ExclusionCurve, stream) -> None:
     """Emit the curve as CSV with full-precision scientific notation."""
     stream.write("r_c_m,lambda_max_per_s\n")
-    for r, l in curve.points:
+    for r, l in curve.points.tolist():
         stream.write(f"{r:.16e},{l:.16e}\n")

@@ -387,3 +387,55 @@ def test_inventory_errors_name_the_problem(mutate, fragment):
 def test_inventory_rejects_non_object_root():
     with pytest.raises(ValueError, match="object"):
         signal_model_from_json("[1, 2]")
+
+
+# --- vectorized signal shape ------------------------------------------------
+
+def table1_model(window=WINDOW):
+    return SignalModel(tuple(
+        MaterialComponent(name=name, n_protons=z, atoms_per_kg=atoms,
+                          mass=mass, live_time=1e7, efficiency=PAPER_TABLE_1[name])
+        for name, z, atoms, mass in (
+            ("Ge crystal", 32, 8.29e24, 1.0), ("Inner Cu", 29, 9.48e24, 20.0),
+            ("Cu block + plate", 29, 9.48e24, 80.0),
+            ("Cu shield", 29, 9.48e24, 300.0), ("Pb shield", 82, 2.91e24, 900.0))
+    ), window)
+
+
+def pointwise_shape(model, n_points):
+    energies = np.linspace(model.window.e_min, model.window.e_max, n_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EfficiencyClampWarning)
+        density = np.array([signal_density(model, 1.0, e) for e in energies])
+    return energies, density / np.trapezoid(density, energies)
+
+
+@pytest.mark.parametrize("window", [WINDOW, EnergyWindow(50.0, 3800.0)])
+def test_signal_shape_matches_pointwise_density(window):
+    model = table1_model(window)
+    want_e, want = pointwise_shape(model, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EfficiencyClampWarning)
+        energies, density = signal_shape(model, 400)
+    assert np.array_equal(energies, want_e)
+    assert np.max(np.abs(density - want)) <= 1e-13 * np.max(want)
+
+
+def test_signal_shape_warns_once_per_clamped_material():
+    model = table1_model(EnergyWindow(50.0, 3800.0))
+    with pytest.warns(EfficiencyClampWarning) as caught:
+        signal_shape(model, 400)
+    messages = [str(w.message) for w in caught]
+    assert all("clamped" in m for m in messages)
+    named = [name for name in PAPER_TABLE_1 if any(f"'{name}'" in m for m in messages)]
+    assert len(named) == len(messages)
+    assert "Pb shield" in named
+    for name in named:
+        coeffs = PAPER_TABLE_1[name].coeffs[::-1]
+        assert np.polyval(coeffs, np.linspace(50.0, 3800.0, 400)).min() < 0.0
+
+
+def test_signal_shape_in_window_is_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signal_shape(table1_model(), 400)

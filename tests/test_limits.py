@@ -7,6 +7,7 @@ inverse.  Posterior normalization is checked by direct quadrature.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,3 +325,120 @@ def test_csv_deterministic():
     write_exclusion_csv(curve, a)
     write_exclusion_csv(curve, b)
     assert a.getvalue() == b.getvalue()
+
+
+# --- array-backed curve -----------------------------------------------------
+
+def test_exclusion_values_match_per_point_formula_exactly():
+    curve = exclusion_curve(REFERENCE)
+    quota = credible_count_bound(REFERENCE, 0.95) - REFERENCE.z_b - 2.0
+    grid = np.logspace(math.log10(1e-9), math.log10(1e-3), 200)
+    want = [[float(r), quota * float(r) ** 2 / REFERENCE.a] for r in grid]
+    assert curve.points.tolist() == want
+
+
+def test_exclusion_points_are_a_read_only_float_array():
+    curve = exclusion_curve(REFERENCE, n_points=50)
+    assert isinstance(curve.points, np.ndarray)
+    assert curve.points.shape == (50, 2)
+    assert curve.points.dtype == np.float64
+    for view in (curve.points, curve.r_c_values, curve.lambda_values):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    assert np.shares_memory(curve.r_c_values, curve.points)
+
+
+def test_exclusion_curve_copies_its_input():
+    pts = np.array([[1e-8, 1e-15], [1e-7, 1e-13]])
+    curve = ExclusionCurve(points=pts, credibility=0.95, lambda_bar_c=617.0)
+    pts[0, 0] = 5.0
+    assert curve.r_c_values[0] == 1e-8
+
+
+@pytest.mark.parametrize("pts", [
+    ((math.nan, 1e-15), (1e-7, 1e-13)),
+    ((1e-8, 1e-15), (math.nan, 1e-13)),
+    ((1e-8, math.nan), (1e-7, 1e-13)),
+    ((1e-8, 1e-15), (1e-7, math.nan)),
+    ((1e-8, 1e-15), (1e-7, 1e-13), (math.nan, 1e-11)),
+    ((1e-8, 1e-15), (math.inf, 1e-13)),
+    ((1e-8, 1e-15), (1e-7, math.inf)),
+])
+def test_exclusion_curve_rejects_non_finite(pts):
+    with pytest.raises(ValueError, match="finite"):
+        ExclusionCurve(points=pts, credibility=0.95, lambda_bar_c=617.0)
+
+
+def test_exclusion_curve_rejects_overflowing_lambda():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            exclusion_curve(REFERENCE, r_c_max=1e160, n_points=3)
+
+
+@pytest.mark.parametrize("pts", [(), (1e-8, 1e-7), ((1e-8, 1e-15, 0.0), (1e-7, 1e-13, 0.0))])
+def test_exclusion_curve_rejects_bad_shape(pts):
+    with pytest.raises(ValueError, match="at least 2"):
+        ExclusionCurve(points=pts, credibility=0.95, lambda_bar_c=617.0)
+
+
+def test_exclusion_curves_compare_by_value():
+    one = exclusion_curve(REFERENCE, n_points=30)
+    two = exclusion_curve(CountingExperiment(z_c=576, z_b=506), n_points=30)
+    assert one == two and hash(one) == hash(two)
+    assert one != exclusion_curve(REFERENCE, n_points=31)
+    assert one != exclusion_curve(REFERENCE, n_points=30, credibility=0.9)
+
+
+# --- one count-quantile solve per experiment and credibility ----------------
+
+@pytest.fixture
+def quantile_solves(monkeypatch):
+    import cslrad.limits as limits_module
+
+    solves = []
+    real = limits_module.gamma_quantile
+
+    def counted(shape, q):
+        solves.append((shape, q))
+        return real(shape, q)
+
+    monkeypatch.setattr(limits_module, "gamma_quantile", counted)
+    return solves
+
+
+def test_quantile_solved_once_per_experiment_and_credibility(quantile_solves):
+    exp = CountingExperiment(z_c=576, z_b=506)
+    first = upper_limit_lambda(exp, 1e-7)
+    for r_c in (1e-9, 1e-7, 1e-3):
+        upper_limit_lambda(exp, r_c)
+    exclusion_curve(exp)
+    exclusion_curve(exp, n_points=17)
+    assert quantile_solves == [(577.0, 0.95)]
+    assert first.lambda_bar_c == pytest.approx(LAMBDA_BAR_REF, rel=1e-9)
+
+    upper_limit_lambda(exp, 1e-7, credibility=0.9)
+    exclusion_curve(exp, credibility=0.9)
+    assert quantile_solves == [(577.0, 0.95), (577.0, 0.9)]
+
+    upper_limit_lambda(CountingExperiment(z_c=576, z_b=506), 1e-7)
+    assert quantile_solves == [(577.0, 0.95), (577.0, 0.9), (577.0, 0.95)]
+
+
+def test_bad_credibility_is_rejected_before_the_cache(quantile_solves):
+    exp = CountingExperiment(z_c=576, z_b=506)
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="credibility"):
+            credible_count_bound(exp, bad)
+    assert quantile_solves == []
+
+
+def test_experiment_equality_ignores_cached_bounds():
+    cached = CountingExperiment(z_c=576, z_b=506)
+    fresh = CountingExperiment(z_c=576, z_b=506)
+    upper_limit_lambda(cached, 1e-7)
+    assert cached == fresh
+    assert hash(cached) == hash(fresh)
+    assert "_count_bounds" not in repr(cached)
+    assert CountingExperiment(z_c=577, z_b=506) != cached
