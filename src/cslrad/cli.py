@@ -7,7 +7,8 @@ the Bayesian bounds, ``signal`` and ``shape`` for detector folding,
 Conventions: every subcommand takes ``--output PATH`` (default standard
 output); reports print numbers to 4 significant digits, CSVs to 17;
 warnings go to standard error so CSV output stays parseable.  Exit codes
-are 0 (success), 1 (usage, parse, or I/O error), 2 (no positive limit).
+are 0 (success), 1 (usage, parse, I/O, or numerical error), 2 (no positive
+limit).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 
 from . import detector, emission, limits
 from .domain import NoiseParams, particle_system_from_json
+from .specfun import ConvergenceError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
     except limits.NoPositiveLimitError as exc:
         sys.stderr.write(f"cslrad: {exc}\n")
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
         sys.stderr.write(f"cslrad: error: {exc}\n")
         return 1
 

@@ -23,8 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .domain import CONSTANTS, M_NUCLEON, EnergyWindow, check_finite_positive
 from .specfun import QuadratureSpec, integrate
 
@@ -78,6 +76,9 @@ def eval_efficiency(poly: EfficiencyPoly, energy_kev: float) -> float:
     if energy_kev <= 0:
         raise ValueError(f"energy must be positive, got {energy_kev}")
     value = poly.raw_value(energy_kev)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"efficiency polynomial is not finite ({value}) at {energy_kev} keV")
     if value < 0.0:
         warnings.warn(
             f"efficiency polynomial negative ({value:.3e}) at {energy_kev} keV; "
@@ -201,6 +202,8 @@ def signal_shape(model: SignalModel, n_points: int):
     material whose fit goes negative on the grid is clamped to 0 there,
     with one EfficiencyClampWarning naming it.
     """
+    import numpy as np  # here only, so that scalar callers never load it
+
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
     energies = np.linspace(model.window.e_min, model.window.e_max, n_points)

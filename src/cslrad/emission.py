@@ -22,8 +22,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domain import (
     CONSTANTS,
@@ -33,6 +32,12 @@ from .domain import (
     kev_to_joule,
     wavelength_from_energy,
 )
+
+# NumPy is imported inside the functions that build or read arrays, so
+# that importing cslrad, and the CLI subcommands that need no array,
+# never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Atomic-rate validity range of the coherent-nucleus treatment, keV.
 ATOMIC_VALIDITY_KEV = (10.0, 1e5)
@@ -65,6 +70,9 @@ class RateDensity:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        if not math.isfinite(self.value):
+            raise ValueError(f"rate density is not finite ({self.value}); "
+                             "the inputs overflow float64")
 
     def __float__(self) -> float:
         return self.value
@@ -126,6 +134,8 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
 
 
 def _positions(system: ParticleSystem) -> np.ndarray:
+    import numpy as np
+
     return np.array([p.position for p in system.particles], dtype=float)
 
 
@@ -155,6 +165,8 @@ def _pair_d2_blocks(positions: np.ndarray):
 
 def _sinc_array(b: np.ndarray) -> np.ndarray:
     """coherence_factor over an array, with the same series branch."""
+    import numpy as np
+
     small = b < _SINC_SERIES_CUTOFF
     out = np.sin(b)
     np.divide(out, b, out=out, where=~small)
@@ -208,9 +220,13 @@ def j_ij_expectation(omega: float, r_i, r_j, f_total: float, f_z: float,
 
 def _charge_rate_prefactor(noise: NoiseParams) -> float:
     """hbar*lam*e^2 / (4 pi^2 eps0 m0^2 r_c^2 c^3): single unit-charge scale, 1/s."""
+    denominator = (4.0 * math.pi ** 2 * CONSTANTS.eps0 * noise.m0 ** 2
+                   * noise.r_c ** 2 * CONSTANTS.c ** 3)
+    if denominator == 0.0:
+        raise ValueError(f"r_c = {noise.r_c} m is too small: the rate's "
+                         "r_c^2 denominator underflows to 0")
     return (CONSTANTS.hbar * noise.lambda_collapse * CONSTANTS.e_charge ** 2
-            / (4.0 * math.pi ** 2 * CONSTANTS.eps0 * noise.m0 ** 2
-               * noise.r_c ** 2 * CONSTANTS.c ** 3))
+            / denominator)
 
 
 def rate_incoherent(charges_e, noise: NoiseParams, energy_kev: float) -> RateDensity:
@@ -238,6 +254,8 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     zero-separation limit reproduces rate_coherent.  The pairs are summed
     in row blocks, so memory stays O(N) however large the system.
     """
+    import numpy as np
+
     if energy_kev <= 0:
         raise ValueError(f"energy must be positive, got {energy_kev}")
     omega = kev_to_joule(energy_kev) / CONSTANTS.hbar
@@ -273,7 +291,11 @@ def atomic_amplification(n_a: int, include_electrons: bool = True) -> float:
     """N_A^2 + N_A with the electron term, N_A^2 without."""
     if n_a < 1:
         raise ValueError(f"atomic number must be >= 1, got {n_a}")
-    return float(n_a * n_a + n_a) if include_electrons else float(n_a * n_a)
+    try:
+        return float(n_a * n_a + n_a) if include_electrons else float(n_a * n_a)
+    except OverflowError:  # an int too large for a float
+        raise ValueError("atomic number too large: N_A^2 does not fit in a "
+                         "float64") from None
 
 
 def rate_atomic(n_atoms: float, n_a: int, noise: NoiseParams, energy_kev: float,
@@ -310,6 +332,8 @@ def classify_regime(system: ParticleSystem, noise: NoiseParams,
     particle is coherent by convention (the amplification is identical
     either way).
     """
+    import numpy as np
+
     wavelength = wavelength_from_energy(energy_kev)
     reduced = wavelength / (2.0 * math.pi)  # the length entering b
     if len(system) < 2:

@@ -19,12 +19,18 @@ result is flagged instead of going negative.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domain import DEFAULT_WINDOW, EnergyWindow
 from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma
+
+# NumPy is imported inside the functions that build or read arrays, so
+# that importing cslrad, and the CLI subcommands that need no array,
+# never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reference analysis inputs: 576 observed counts, 506 simulated
 # background counts, signal constant 2.0986 s m^2 for the full detector
@@ -41,11 +47,15 @@ class NoPositiveLimitError(ValueError):
 
 
 def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer count, got {value!r}")
-    if value < 0:
+    if count < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
-    return int(value)
+    return count
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,8 @@ class ExclusionCurve:
     lambda_bar_c: float
 
     def __post_init__(self):
+        import numpy as np
+
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ValueError("exclusion curve needs at least 2 (r_c, lambda_max) "
@@ -120,6 +132,8 @@ class ExclusionCurve:
         object.__setattr__(self, "points", pts)
 
     def __eq__(self, other):
+        import numpy as np
+
         if not isinstance(other, ExclusionCurve):
             return NotImplemented
         return (self.credibility == other.credibility
@@ -190,12 +204,21 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
 
     lam_max = (Lambda_bar - z_b - 2) * r_c^2 / a; a non-positive budget
     yields a flagged result with lambda_max None rather than a negative
-    rate.
+    rate.  A lam_max beyond float64 raises ValueError, as in
+    exclusion_curve.
     """
     if r_c <= 0:
         raise ValueError(f"correlation length must be positive, got {r_c}")
     lambda_bar, quota = _signal_quota(exp, credibility)
-    lambda_max = quota * r_c ** 2 / exp.a if quota > 0.0 else None
+    lambda_max = None
+    if quota > 0.0:
+        try:
+            lambda_max = quota * r_c ** 2 / exp.a
+        except OverflowError:  # float ** raises where * and / give inf
+            lambda_max = math.inf
+        if not math.isfinite(lambda_max):
+            raise ValueError(f"lambda_max is not finite at r_c = {r_c} m "
+                             f"and a = {exp.a} s m^2")
     return UpperLimit(lambda_max=lambda_max, r_c=r_c, credibility=credibility,
                       lambda_bar_c=lambda_bar, signal_quota=quota)
 
@@ -209,6 +232,8 @@ def exclusion_curve(exp: CountingExperiment,
     The count quantile does not depend on r_c, so it is solved once and
     the whole grid is one array expression.
     """
+    import numpy as np
+
     if not (0.0 < r_c_min < r_c_max):
         raise ValueError(
             f"need 0 < r_c_min < r_c_max, got {r_c_min} and {r_c_max}")

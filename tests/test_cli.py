@@ -13,6 +13,8 @@ import re
 import stat
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 from cslrad import detector, emission, limits
 from cslrad.cli import main
 from cslrad.domain import NoiseParams
+from cslrad.specfun import ConvergenceError
 
 REPO = Path(__file__).resolve().parents[1]
 GE_INVENTORY = REPO / "scripts" / "data" / "ge_target_inventory.json"
@@ -128,6 +131,37 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cslrad: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--r-c", "1e160"],
+    ["limit", "--a", "1e-320", "--r-c", "1e100"],
+    ["rate", "--atoms", "1e300", "--na", "94", "--energy", "1e-300"],
+    ["rate", "--atoms", "1e300", "--na", "94", "--r-c", "1e-300"],
+    ["rate", "--atoms", "1e20", "--na", str(10 ** 180 + 7)],
+    ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
+    # a shape far past the range the count quantile is validated on
+    ["limit", "--z-c", "99999999999999999999999"],
+], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
+        "efficiency", "limit-z_c"])
+def test_overflowing_numbers_exit_1(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", emission.ValidityWarning)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cslrad: error: ")
+
+
+def test_convergence_failure_exits_1(monkeypatch, capsys):
+    def stalled(shape, q):
+        raise ConvergenceError(f"quantile stalled at s={shape}")
+
+    monkeypatch.setattr(limits, "gamma_quantile", stalled)
+    assert main(["limit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cslrad: error: quantile stalled at s=577.0\n"
 
 
 # --- exclusion --------------------------------------------------------------
@@ -396,3 +430,35 @@ def test_shape_clamp_warning_keeps_csv_clean(tmp_path):
     assert lines[0] == "energy_kev,density_per_kev"
     for row in lines[1:]:
         assert CSV_ROW.match(row), row
+
+
+# --- NumPy stays unloaded where no array is built (subprocess) -------------
+
+def test_scalar_subcommands_leave_numpy_unloaded(tmp_path):
+    calls = [
+        ["limit"],
+        ["signal", "--inventory", str(GE_INVENTORY)],
+        ["efficiency", "--material", "Ge crystal", "--energy", "1000"],
+        ["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"],
+        # control: the exclusion curve is an array, so NumPy loads here
+        ["exclusion", "--n-points", "8"],
+    ]
+    probe = textwrap.dedent("""
+        import json, sys
+        import cslrad
+        from cslrad import cli
+        calls, out = json.loads(sys.argv[1]), sys.argv[2]
+        seen = [("import cslrad", 0, "numpy" in sys.modules)]
+        for argv in calls:
+            code = cli.main([*argv, "--output", out])
+            seen.append((argv[0], code, "numpy" in sys.modules))
+        print(json.dumps(seen))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(calls), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen == [["import cslrad", 0, False], ["limit", 0, False],
+                    ["signal", 0, False], ["efficiency", 0, False],
+                    ["rate", 0, False], ["exclusion", 0, True]]

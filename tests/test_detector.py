@@ -129,6 +129,11 @@ def test_eval_efficiency_rejects_nonpositive_energy():
             eval_efficiency(poly, bad)
 
 
+def test_eval_efficiency_rejects_overflow():
+    with pytest.raises(ValueError, match="not finite"):
+        eval_efficiency(PAPER_TABLE_1["Pb shield"], 1e300)
+
+
 def test_efficiency_poly_validation():
     with pytest.raises(ValueError):
         EfficiencyPoly(())

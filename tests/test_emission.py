@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cslrad.domain import M_NUCLEON, NoiseParams, Particle, ParticleSystem
 from cslrad.emission import (
+    RateDensity,
     RegimeKind,
     ValidityWarning,
     atomic_amplification,
@@ -311,6 +312,35 @@ def test_atomic_amplification_values():
     assert atomic_amplification(1, include_electrons=True) == 2.0
     with pytest.raises(ValueError):
         atomic_amplification(0)
+
+
+@pytest.mark.parametrize("include_electrons", [True, False])
+def test_atomic_amplification_rejects_overflow(include_electrons):
+    with pytest.raises(ValueError, match="float64"):
+        atomic_amplification(10 ** 180 + 7, include_electrons)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rate_density_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        RateDensity(bad)
+
+
+def test_atomic_rate_rejects_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(ValueError, match="not finite"):
+            rate_atomic(1e300, 94, NOISE, 1e-300)
+
+
+@pytest.mark.parametrize("r_c", [1e-300, 1e-150])
+def test_closed_rates_reject_underflowing_r_c(r_c):
+    noise = NoiseParams(lambda_collapse=1e-16, r_c=r_c)
+    for rate in (rate_incoherent, rate_coherent):
+        with pytest.raises(ValueError, match="underflows"):
+            rate([1.0], noise, 50.0)
+    with pytest.raises(ValueError, match="underflows"):
+        rate_atomic(1e300, 94, noise, 50.0)
 
 
 def test_atomic_rate_ratios_exact():

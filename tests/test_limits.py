@@ -28,6 +28,7 @@ from cslrad.limits import (
     exclusion_curve,
     posterior_cdf,
     posterior_pdf,
+    _check_count,
     upper_limit_lambda,
     write_exclusion_csv,
 )
@@ -53,7 +54,8 @@ def test_reference_analysis_constants():
 
 # --- experiment validation --------------------------------------------------
 
-@pytest.mark.parametrize("bad", [1.5, True, -1, "5"])
+@pytest.mark.parametrize("bad", [1.5, True, -1, "5", 3.0, np.float64(3), "3",
+                                 np.True_])
 def test_experiment_rejects_bad_counts(bad):
     with pytest.raises(ValueError):
         CountingExperiment(z_c=bad, z_b=0)
@@ -73,6 +75,12 @@ def test_experiment_background_mean():
 def test_experiment_accepts_numpy_integers():
     exp = CountingExperiment(z_c=np.int64(3), z_b=np.int64(2))
     assert exp.z_c == 3 and isinstance(exp.z_c, int)
+
+
+@pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3)])
+def test_check_count_returns_a_plain_int(good):
+    count = _check_count("z_c", good)
+    assert count == 3 and type(count) is int
 
 
 # --- posterior --------------------------------------------------------------
@@ -375,6 +383,18 @@ def test_exclusion_curve_rejects_overflowing_lambda():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             exclusion_curve(REFERENCE, r_c_max=1e160, n_points=3)
+
+
+@pytest.mark.parametrize("a, r_c", [
+    (DEFAULT_SIGNAL_CONSTANT, 1e160),  # r_c ** 2 overflows
+    (1e-320, 1e100),                   # the division by a overflows
+])
+def test_upper_limit_rejects_overflowing_lambda(a, r_c):
+    exp = CountingExperiment(z_c=576, z_b=506, a=a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            upper_limit_lambda(exp, r_c)
 
 
 @pytest.mark.parametrize("pts", [(), (1e-8, 1e-7), ((1e-8, 1e-15, 0.0), (1e-7, 1e-13, 0.0))])
