@@ -57,6 +57,11 @@ _ANGULAR_SERIES_CUTOFF = 1e-2
 # rate_general plus classify_regime ~3x slower and took ~25 MB more memory.
 _PAIR_BLOCK_ELEMENTS = 16384
 
+# A pair's Gaussian weight exp(-x/2), x = d^2 / (2 r_c^2), is exactly 0.0 in
+# float64 once x >= 1500 (exp(-750) underflows; d >= ~54.8 r_c), so the pair
+# kernel skips exp, sqrt and sinc there without changing a bit of the sum.
+_PAIR_CUTOFF_X = 1500.0
+
 
 class ValidityWarning(UserWarning):
     """Inputs are outside the validity range of the emission formula."""
@@ -175,6 +180,16 @@ def _sinc_array(b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_weight(x: np.ndarray, d2: np.ndarray, k: float) -> np.ndarray:
+    """exp(-x/2) (3 - x) sinc(k |d|) per pair, from x = d^2 / (2 r_c^2) and d^2."""
+    import numpy as np
+
+    weight = np.exp(-0.5 * x)
+    weight *= 3.0 - x
+    weight *= _sinc_array(k * np.sqrt(d2))
+    return weight
+
+
 def _angular_t1(b: float) -> float:
     """((b^2 - 1) sin b + b cos b) / b^3, series-stabilized near 0."""
     if b < _ANGULAR_SERIES_CUTOFF:
@@ -258,6 +273,10 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
 
     if energy_kev <= 0:
         raise ValueError(f"energy must be positive, got {energy_kev}")
+    # The closed rates' r_c guard.  It also stops an underflowed 2 r_c^2,
+    # whose x of inf or NaN on every pair the cutoff below would take for
+    # an exact 0.
+    _charge_rate_prefactor(noise)
     omega = kev_to_joule(energy_kev) / CONSTANTS.hbar
     k = omega / CONSTANTS.c
     two_rc2 = 2.0 * noise.r_c * noise.r_c
@@ -267,15 +286,21 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # against f_ij's m_i m_j, leaving exp(-x/2) (3 - x) / (2 r_c^2) with
     # x = d^2 / (2 r_c^2).  Columns past a block's leading square stand
     # for both orders of their pairs, hence the doubled column charges.
+    # Pairs past the cutoff get weight 0.0, which their terms are anyway.
     pair_sum = 0.0
     for start, d2 in _pair_d2_blocks(_positions(system)):
         rows = len(d2)
         q_cols = 2.0 * charges[start:]
         q_cols[:rows] = charges[start:start + rows]
         x = d2 / two_rc2
-        weight = np.exp(-0.5 * x)
-        weight *= 3.0 - x
-        weight *= _sinc_array(k * np.sqrt(d2))
+        near = x < _PAIR_CUTOFF_X
+        if near.all():
+            weight = _pair_weight(x, d2, k)
+        else:
+            if np.isinf(d2).any():  # the cutoff would hide it
+                raise ValueError("pair sum overflows float64")
+            weight = np.zeros_like(d2)
+            weight[near] = _pair_weight(x[near], d2[near], k)
         pair_sum += float(charges[start:start + rows] @ (weight @ q_cols))
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")

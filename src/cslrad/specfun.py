@@ -63,9 +63,16 @@ def ln_gamma(s: float) -> float:
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
+# The iteration budget stops growing at its value for s = 1e10 + 1.  Uncapped
+# it reaches ~1.2e10 at s = 1e18, where the series near x ~ s would need ~1e9
+# terms, so a call ran for minutes before raising; capped, it raises after
+# ~1.2e6 iterations.
+_MAX_GAMMA_ITERATIONS = 1_200_500
+
+
 def _gamma_iteration_budget(s: float) -> int:
     # Series/continued-fraction term counts grow like sqrt(s) near x ~ s.
-    return max(500, int(12.0 * math.sqrt(s)) + 500)
+    return min(max(500, int(12.0 * math.sqrt(s)) + 500), _MAX_GAMMA_ITERATIONS)
 
 
 # Stirling series for ln Gamma(s) - (s - 1/2) ln s + s - ln sqrt(2 pi),

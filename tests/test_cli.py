@@ -142,9 +142,17 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
     # a shape far past the range the count quantile is validated on
     ["limit", "--z-c", "99999999999999999999999"],
+    # 2 r_c^2 underflows to 0 in the pair kernel
+    ["rate", "--system", "x.json", "--r-c", "1e-300"],
+    # a shape whose incomplete-gamma series would run ~1e9 terms
+    ["limit", "--z-c", "1000000000000000000", "--z-b", "0"],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
-        "efficiency", "limit-z_c"])
-def test_overflowing_numbers_exit_1(argv, capsys):
+        "efficiency", "limit-z_c", "rate-system-r_c", "limit-z_c-1e18"])
+def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
+    if "--system" in argv:
+        argv = list(argv)
+        argv[argv.index("x.json")] = proton_system(tmp_path, (0, 0, 0),
+                                                   (1e-12, 0, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", emission.ValidityWarning)
         assert main(argv) == 1

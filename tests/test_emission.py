@@ -23,6 +23,7 @@ from cslrad.emission import (
     RateDensity,
     RegimeKind,
     ValidityWarning,
+    _PAIR_CUTOFF_X,
     atomic_amplification,
     classify_regime,
     coherence_factor,
@@ -510,6 +511,70 @@ def test_pair_kernel_raises_on_overflowing_separations():
             rate_general(system, NOISE, 1000.0)
         with pytest.raises(ValueError, match="overflow"):
             classify_regime(system, NOISE, 1000.0)
+
+
+def test_pair_kernel_raises_on_overflow_in_a_mixed_block():
+    # the overflowing pairs sit past the cutoff, beside a near pair the
+    # kernel does evaluate; the cutoff must not turn inf into a 0 weight
+    system = ParticleSystem((proton(), proton(1e-12), proton(1e160)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflow"):
+            rate_general(system, NOISE, 1000.0)
+
+
+@pytest.mark.parametrize("r_c", [1e-300, 1e-150])
+def test_general_rejects_underflowing_r_c(r_c):
+    # 2 r_c^2 underflows (1e-300) or the closed rates already refuse r_c
+    # (1e-150); either way the error names r_c, with no NumPy warning
+    noise = NoiseParams(lambda_collapse=1e-16, r_c=r_c)
+    system = ParticleSystem((proton(), proton(1e-12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"r_c = .* too small"):
+            rate_general(system, noise, 1000.0)
+
+
+def test_pair_cutoff_weight_is_exactly_zero():
+    # the cutoff is where float64 exp underflows, so cut pairs weigh 0.0
+    assert np.exp(-0.5 * _PAIR_CUTOFF_X) == 0.0
+
+
+# Each example runs an O(N^2) Python loop, so a failure is reported as
+# drawn: shrinking would re-run that loop hundreds of times.
+@settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(min_value=150, max_value=400),
+       st.floats(min_value=20.0, max_value=60.0),
+       st.floats(min_value=10.0, max_value=1e5),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_general_matches_pair_loop_across_the_cutoff(n, spacing, energy, seed):
+    # a jittered lattice >= 20 r_c apart spans ~10 cutoff lengths, so the
+    # row blocks mix cut pairs with near lattice neighbours and clumps
+    rng = np.random.default_rng(seed)
+    side = math.ceil(n ** (1.0 / 3.0)) + 1
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"),
+                    -1).reshape(-1, 3)
+    pos = grid[rng.choice(len(grid), n, replace=False)] * spacing
+    pos += rng.uniform(-0.05 * spacing, 0.05 * spacing, (n, 3))
+    for centre in rng.choice(n, 4, replace=False):  # tight clumps
+        members = rng.choice(n, 6, replace=False)
+        pos[members] = pos[centre] + rng.normal(scale=0.5, size=(6, 3))
+    pos *= NOISE.r_c
+    charges = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+    masses = M_NUCLEON * rng.uniform(0.0005, 240.0, n)
+    parts = [Particle(float(q), float(m), tuple(x))
+             for q, m, x in zip(charges, masses, pos.tolist())]
+    seps = [math.dist(parts[i].position, parts[j].position)
+            for i in range(n) for j in range(i + 1, n)]
+    cut = math.sqrt(2.0 * _PAIR_CUTOFF_X) * NOISE.r_c
+    assert min(seps) < cut < max(seps)
+
+    total, diagonal = _general_pair_sum_by_loop(parts, NOISE, energy)
+    scale_to_rate = (HBAR * NOISE.lambda_collapse * KEV
+                     / (6.0 * math.pi ** 2 * EPS0 * C_LIGHT ** 3
+                        * M_NUCLEON ** 2 * omega_of(energy) * HBAR))
+    got = float(rate_general(ParticleSystem(parts), NOISE, energy))
+    assert abs(got - total * scale_to_rate) <= 1e-10 * diagonal * scale_to_rate
 
 
 def test_general_rejects_nonpositive_energy():

@@ -8,6 +8,7 @@ antiderivatives for the quadrature.
 """
 
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -184,6 +185,23 @@ def test_quantile_large_shape_stays_finite():
     assert math.isfinite(q)
     # Gaussian regime: s + z*sqrt(s) with z = 1.645
     assert q == pytest.approx(1e6 + 1.0 + 1.6448536269514722 * 1e3, rel=1e-4)
+
+
+def test_quantile_converges_at_the_iteration_cap():
+    # s = 1e10 + 1 is the largest shape with its full sqrt(s) budget
+    s = 1e10 + 1.0
+    q = gamma_quantile(s, 0.95)
+    assert q == pytest.approx(s + 1.6448536269514722 * 1e5, rel=1e-9)
+    assert reg_lower_gamma(s, q) == pytest.approx(0.95, abs=1e-11)
+
+
+def test_quantile_fails_fast_at_huge_shapes():
+    # at s ~ 1e18 the series near x ~ s needs ~1e9 terms; an uncapped
+    # budget let it run for minutes before raising
+    start = time.monotonic()
+    with pytest.raises(ConvergenceError, match="stalled"):
+        gamma_quantile(1e18 + 1.0, 0.95)
+    assert time.monotonic() - start < 10.0
 
 
 def test_quantile_rejects_bad_arguments():
