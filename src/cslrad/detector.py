@@ -23,7 +23,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .domain import CONSTANTS, M_NUCLEON, EnergyWindow, check_finite_positive
+from .domain import (CONSTANTS, M_NUCLEON, EnergyWindow, check_count,
+                     check_finite_positive)
 from .specfun import QuadratureSpec, integrate
 
 
@@ -140,7 +141,9 @@ class MaterialComponent:
     efficiency: EfficiencyPoly
 
     def __post_init__(self):
-        for attr in ("n_protons", "atoms_per_kg", "mass", "live_time"):
+        object.__setattr__(self, "n_protons", check_count(
+            self.n_protons, f"n_protons of '{self.name}'", 1))
+        for attr in ("atoms_per_kg", "mass", "live_time"):
             check_finite_positive(getattr(self, attr), f"{attr} of '{self.name}'")
 
     @property
@@ -204,8 +207,7 @@ def signal_shape(model: SignalModel, n_points: int):
     """
     import numpy as np  # here only, so that scalar callers never load it
 
-    if n_points < 2:
-        raise ValueError(f"need at least 2 sample points, got {n_points}")
+    n_points = check_count(n_points, "n_points", 2)
     energies = np.linspace(model.window.e_min, model.window.e_max, n_points)
     total = np.zeros(n_points)
     # Same operations, in the same order, as signal_density at each energy.

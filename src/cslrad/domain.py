@@ -13,16 +13,51 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+
+# Input checks shared by every module, so that each quantity is judged in
+# one place.  Each raises ValueError naming the quantity.
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float64
+        return False
 
 
 def check_finite_positive(value, name: str) -> None:
-    """Raise ValueError unless value is a finite number above zero.
-
-    Written so that NaN fails too: ``NaN <= 0`` is false.
-    """
-    if not (math.isfinite(value) and value > 0):
+    """Raise ValueError unless value is a finite number above zero."""
+    if not (_is_finite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_finite_nonnegative(value, name: str) -> None:
+    """Raise ValueError unless value is a finite number >= 0."""
+    if not (_is_finite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_count(value, name: str, minimum: int = 0) -> int:
+    """Return value as a plain int, or raise ValueError.
+
+    Accepts Python and NumPy integers, not bools, floats or strings, and
+    only counts >= minimum that convert to a float64.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer count, got {value!r}")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    try:
+        float(count)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float64") from None
+    return count
 
 
 @dataclass(frozen=True)
@@ -55,15 +90,9 @@ def kev_to_joule(energy_kev: float) -> float:
     return energy_kev * KEV_IN_JOULES
 
 
-def joule_to_kev(energy_j: float) -> float:
-    """Inverse of :func:`kev_to_joule`."""
-    return energy_j / KEV_IN_JOULES
-
-
 def wavelength_from_energy(energy_kev: float) -> float:
     """Photon wavelength 2*pi*hbar*c / E in meters, for E in keV."""
-    if energy_kev <= 0:
-        raise ValueError(f"photon energy must be positive, got {energy_kev}")
+    check_finite_positive(energy_kev, "photon energy")
     return 2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c / kev_to_joule(energy_kev)
 
 
@@ -103,10 +132,6 @@ class Particle:
         if not all(math.isfinite(x) for x in position):
             raise ValueError(f"position must be finite, got {position!r}")
         object.__setattr__(self, "position", position)
-
-    @property
-    def charge_coulomb(self) -> float:
-        return self.charge_e * CONSTANTS.e_charge
 
 
 @dataclass(frozen=True)
@@ -171,10 +196,6 @@ class EnergyWindow:
             raise ValueError(
                 f"need 0 < e_min < e_max < inf, got ({self.e_min}, {self.e_max})"
             )
-
-    @property
-    def width(self) -> float:
-        return self.e_max - self.e_min
 
     def contains(self, energy_kev: float) -> bool:
         return self.e_min <= energy_kev <= self.e_max

@@ -26,9 +26,11 @@ from typing import TYPE_CHECKING
 
 from .domain import (
     CONSTANTS,
-    KEV_IN_JOULES,
     NoiseParams,
     ParticleSystem,
+    check_count,
+    check_finite_nonnegative,
+    check_finite_positive,
     kev_to_joule,
     wavelength_from_energy,
 )
@@ -107,8 +109,7 @@ class EmissionRegime:
 
 def coherence_factor(b: float) -> float:
     """sin(b)/b with the removable singularity at b = 0 handled by series."""
-    if b < 0:
-        raise ValueError(f"coherence_factor requires b >= 0, got {b}")
+    check_finite_nonnegative(b, "coherence_factor argument b")
     if b < _SINC_SERIES_CUTOFF:
         b2 = b * b
         return 1.0 - b2 / 6.0 + b2 * b2 / 120.0
@@ -127,8 +128,7 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
     in kg^2/m^2.  At d = 0 this is (3, 1) * m_i m_j / (2 r_c^2); for
     |d| >> r_c the Gaussian suppresses everything (incoherent regime).
     """
-    if r_c <= 0:
-        raise ValueError(f"f_ij_point requires r_c > 0, got {r_c}")
+    check_finite_positive(r_c, "correlation length r_c")
     dx, dy, dz = (float(x) for x in d)
     d2 = dx * dx + dy * dy + dz * dz
     two_rc2 = 2.0 * r_c * r_c
@@ -223,8 +223,7 @@ def j_ij_expectation(omega: float, r_i, r_j, f_total: float, f_z: float,
     along the separation direction; with the isotropic average
     f_z = f_total/3 it collapses to (2/3) f_total sinc(b).
     """
-    if omega <= 0:
-        raise ValueError(f"j_ij_expectation requires omega > 0, got {omega}")
+    check_finite_positive(omega, "angular frequency omega")
     m_i, m_j = masses
     sep = math.dist(tuple(r_i), tuple(r_j))
     b = omega * sep / CONSTANTS.c
@@ -246,16 +245,14 @@ def _charge_rate_prefactor(noise: NoiseParams) -> float:
 
 def rate_incoherent(charges_e, noise: NoiseParams, energy_kev: float) -> RateDensity:
     """Incoherent emission: amplification sum q_i^2 (charges in units of e)."""
-    if energy_kev <= 0:
-        raise ValueError(f"energy must be positive, got {energy_kev}")
+    check_finite_positive(energy_kev, "energy")
     amplification = sum(q * q for q in charges_e)
     return RateDensity(_charge_rate_prefactor(noise) * amplification / energy_kev)
 
 
 def rate_coherent(charges_e, noise: NoiseParams, energy_kev: float) -> RateDensity:
     """Coherent emission: amplification (sum q_i)^2 (charges in units of e)."""
-    if energy_kev <= 0:
-        raise ValueError(f"energy must be positive, got {energy_kev}")
+    check_finite_positive(energy_kev, "energy")
     amplification = sum(charges_e) ** 2
     return RateDensity(_charge_rate_prefactor(noise) * amplification / energy_kev)
 
@@ -271,21 +268,24 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     """
     import numpy as np
 
-    if energy_kev <= 0:
-        raise ValueError(f"energy must be positive, got {energy_kev}")
-    # The closed rates' r_c guard.  It also stops an underflowed 2 r_c^2,
-    # whose x of inf or NaN on every pair the cutoff below would take for
-    # an exact 0.
-    _charge_rate_prefactor(noise)
-    omega = kev_to_joule(energy_kev) / CONSTANTS.hbar
-    k = omega / CONSTANTS.c
+    check_finite_positive(energy_kev, "energy")
+    # The closed rates' prefactor, with their r_c guard.  The guard also
+    # stops an underflowed 2 r_c^2, whose x of inf or NaN on every pair the
+    # cutoff below would take for an exact 0.
+    prefactor = _charge_rate_prefactor(noise)
+    k = kev_to_joule(energy_kev) / CONSTANTS.hbar / CONSTANTS.c  # omega / c
     two_rc2 = 2.0 * noise.r_c * noise.r_c
     charges = np.array([p.charge_e for p in system.particles], dtype=float)
 
     # sum_ij q_i q_j / (m_i m_j) * f_ij * sinc(b_ij): the masses cancel
     # against f_ij's m_i m_j, leaving exp(-x/2) (3 - x) / (2 r_c^2) with
-    # x = d^2 / (2 r_c^2).  Columns past a block's leading square stand
-    # for both orders of their pairs, hence the doubled column charges.
+    # x = d^2 / (2 r_c^2).  pair_sum is the dimensionless
+    # sum_ij q_i q_j exp(-x/2) (3 - x) sinc(b_ij), 3 q_i^2 per self-pair,
+    # so the rate is the closed rates' prefactor times pair_sum / 3E;
+    # dividing by 3 first makes a single integer charge give rate_incoherent
+    # exactly.
+    # Columns past a block's leading square stand for both orders of
+    # their pairs, hence the doubled column charges.
     # Pairs past the cutoff get weight 0.0, which their terms are anyway.
     pair_sum = 0.0
     for start, d2 in _pair_d2_blocks(_positions(system)):
@@ -304,18 +304,12 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
         pair_sum += float(charges[start:start + rows] @ (weight @ q_cols))
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")
-    pair_sum *= CONSTANTS.e_charge ** 2 / two_rc2
-
-    per_omega = (CONSTANTS.hbar * noise.lambda_collapse * pair_sum
-                 / (6.0 * math.pi ** 2 * CONSTANTS.eps0 * CONSTANTS.c ** 3
-                    * noise.m0 ** 2 * omega))
-    return RateDensity(per_omega * KEV_IN_JOULES / CONSTANTS.hbar)
+    return RateDensity(prefactor * (pair_sum / 3.0) / energy_kev)
 
 
 def atomic_amplification(n_a: int, include_electrons: bool = True) -> float:
     """N_A^2 + N_A with the electron term, N_A^2 without."""
-    if n_a < 1:
-        raise ValueError(f"atomic number must be >= 1, got {n_a}")
+    n_a = check_count(n_a, "atomic number", 1)
     try:
         return float(n_a * n_a + n_a) if include_electrons else float(n_a * n_a)
     except OverflowError:  # an int too large for a float
@@ -331,10 +325,8 @@ def rate_atomic(n_atoms: float, n_a: int, noise: NoiseParams, energy_kev: float,
     N_A term valid only below ~100 keV.  Warns (never raises) when the
     requested energy leaves the validity range.
     """
-    if energy_kev <= 0:
-        raise ValueError(f"energy must be positive, got {energy_kev}")
-    if n_atoms < 0:
-        raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
+    check_finite_positive(energy_kev, "energy")
+    check_finite_nonnegative(n_atoms, "n_atoms")
     if not ATOMIC_VALIDITY_KEV[0] <= energy_kev <= ATOMIC_VALIDITY_KEV[1]:
         warnings.warn(
             f"energy {energy_kev} keV outside the {ATOMIC_VALIDITY_KEV[0]:g}-"

@@ -19,11 +19,10 @@ result is flagged instead of going negative.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .domain import DEFAULT_WINDOW, EnergyWindow
+from .domain import check_count, check_finite_nonnegative, check_finite_positive
 from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma
 
 # NumPy is imported inside the functions that build or read arrays, so
@@ -46,18 +45,6 @@ class NoPositiveLimitError(ValueError):
     """The credible count budget is exhausted by background; no limit exists."""
 
 
-def _check_count(name: str, value) -> int:
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer count, got {value!r}")
-    if count < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return count
-
-
 @dataclass(frozen=True)
 class CountingExperiment:
     """Observed counts, simulated background counts, and the signal constant."""
@@ -65,22 +52,15 @@ class CountingExperiment:
     z_c: int
     z_b: int
     a: float = DEFAULT_SIGNAL_CONSTANT
-    window: EnergyWindow = DEFAULT_WINDOW
     # Count quantiles already solved for this experiment, keyed by
     # credibility; filled by credible_count_bound.
     _count_bounds: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z_c", _check_count("z_c", self.z_c))
-        object.__setattr__(self, "z_b", _check_count("z_b", self.z_b))
-        if not (self.a > 0):
-            raise ValueError(f"signal constant a must be positive, got {self.a}")
-
-    @property
-    def background_mean(self) -> float:
-        """Flat-prior posterior mean of the background component, z_b + 1."""
-        return self.z_b + 1.0
+        object.__setattr__(self, "z_c", check_count(self.z_c, "z_c"))
+        object.__setattr__(self, "z_b", check_count(self.z_b, "z_b"))
+        check_finite_positive(self.a, "signal constant a")
 
 
 @dataclass(frozen=True)
@@ -163,8 +143,7 @@ def posterior_pdf(exp: CountingExperiment, lambda_c: float) -> float:
     Gamma(z_c + 1, 1) density, evaluated in log space so that counts of
     order 1e6 stay finite.
     """
-    if lambda_c < 0:
-        raise ValueError(f"expected count must be >= 0, got {lambda_c}")
+    check_finite_nonnegative(lambda_c, "expected count")
     if lambda_c == 0.0:
         return 1.0 if exp.z_c == 0 else 0.0
     log_pdf = exp.z_c * math.log(lambda_c) - lambda_c - ln_gamma(exp.z_c + 1.0)
@@ -173,8 +152,7 @@ def posterior_pdf(exp: CountingExperiment, lambda_c: float) -> float:
 
 def posterior_cdf(exp: CountingExperiment, lambda_c: float) -> float:
     """Posterior probability that the Poisson mean is below lambda_c."""
-    if lambda_c < 0:
-        raise ValueError(f"expected count must be >= 0, got {lambda_c}")
+    check_finite_nonnegative(lambda_c, "expected count")
     return reg_lower_gamma(exp.z_c + 1.0, lambda_c)
 
 
@@ -207,8 +185,7 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
     rate.  A lam_max beyond float64 raises ValueError, as in
     exclusion_curve.
     """
-    if r_c <= 0:
-        raise ValueError(f"correlation length must be positive, got {r_c}")
+    check_finite_positive(r_c, "correlation length r_c")
     lambda_bar, quota = _signal_quota(exp, credibility)
     lambda_max = None
     if quota > 0.0:
@@ -234,11 +211,10 @@ def exclusion_curve(exp: CountingExperiment,
     """
     import numpy as np
 
-    if not (0.0 < r_c_min < r_c_max):
+    if not 0.0 < r_c_min < r_c_max < math.inf:
         raise ValueError(
-            f"need 0 < r_c_min < r_c_max, got {r_c_min} and {r_c_max}")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points}")
+            f"need 0 < r_c_min < r_c_max < inf, got {r_c_min} and {r_c_max}")
+    n_points = check_count(n_points, "n_points", 2)
     lambda_bar, quota = _signal_quota(exp, credibility)
     if quota <= 0.0:
         raise NoPositiveLimitError(

@@ -49,9 +49,9 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def ln_gamma(s: float) -> float:
-    """Natural log of Gamma(s) for s > 0."""
-    if s <= 0:
-        raise ValueError(f"ln_gamma requires s > 0, got {s}")
+    """Natural log of Gamma(s) for finite s > 0."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"ln_gamma requires finite s > 0, got {s}")
     if s < 0.5:
         # Recurrence keeps the Lanczos kernel in its accurate region.
         return ln_gamma(s + 1.0) - math.log(s)
@@ -147,10 +147,10 @@ def _upper_continued_fraction(s: float, x: float) -> float:
 
 def reg_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x), monotone in x, in [0, 1]."""
-    if s <= 0:
-        raise ValueError(f"reg_lower_gamma requires s > 0, got {s}")
-    if x < 0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"reg_lower_gamma requires finite s > 0, got {s}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"reg_lower_gamma requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
@@ -206,8 +206,12 @@ def _wilson_hilferty_guess(s: float, p: float) -> float:
     return s * math.exp(z / math.sqrt(s))  # deep lower tail fallback
 
 
-def gamma_quantile(s: float, p: float, tol: float = 1e-12,
-                   max_iter: int = 300) -> float:
+# gamma_quantile's largest accepted residual |P(s, x) - p| and step budget.
+_QUANTILE_TOL = 1e-12
+_QUANTILE_MAX_ITER = 300
+
+
+def gamma_quantile(s: float, p: float) -> float:
     """Solve P(s, x) = p for x, bracketed and safeguarded.
 
     Starts from a Wilson-Hilferty guess (plus a closed-form lower bound
@@ -217,8 +221,8 @@ def gamma_quantile(s: float, p: float, tol: float = 1e-12,
     instead of returning a value outside tolerance, including when the
     root underflows the double range entirely.
     """
-    if s <= 0:
-        raise ValueError(f"gamma_quantile requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"gamma_quantile requires finite s > 0, got {s}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"gamma_quantile requires 0 < p < 1, got {p}")
 
@@ -257,7 +261,7 @@ def gamma_quantile(s: float, p: float, tol: float = 1e-12,
         x_best, f_best = lo, f_lo
     force_bisect = False
     width_mark = hi - lo
-    for it in range(max_iter):
+    for it in range(_QUANTILE_MAX_ITER):
         if hi - lo <= 4.0 * math.ulp(hi):
             break
         # Secant proposal from the bracket endpoints, with two safeguards:
@@ -283,7 +287,7 @@ def gamma_quantile(s: float, p: float, tol: float = 1e-12,
         if it % 2 == 1:
             force_bisect = (hi - lo) > 0.5 * width_mark
             width_mark = hi - lo
-    if abs(f_best) < tol:
+    if abs(f_best) < _QUANTILE_TOL:
         return x_best
     raise ConvergenceError(
         f"gamma_quantile did not converge for s={s}, p={p} (residual {f_best:.3e})"

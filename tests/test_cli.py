@@ -146,8 +146,12 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["rate", "--system", "x.json", "--r-c", "1e-300"],
     # a shape whose incomplete-gamma series would run ~1e9 terms
     ["limit", "--z-c", "1000000000000000000", "--z-b", "0"],
+    # counts that do not fit in a float64
+    ["limit", "--z-c", "9" * 401],
+    ["limit", "--z-b", "9" * 401],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
-        "efficiency", "limit-z_c", "rate-system-r_c", "limit-z_c-1e18"])
+        "efficiency", "limit-z_c", "rate-system-r_c", "limit-z_c-1e18",
+        "limit-z_c-401-digits", "limit-z_b-401-digits"])
 def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     if "--system" in argv:
         argv = list(argv)

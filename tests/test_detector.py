@@ -184,6 +184,11 @@ def test_material_rejects_nonpositive(field_name):
     kwargs[field_name] = 0 if field_name == "n_protons" else 0.0
     with pytest.raises(ValueError, match=field_name):
         MaterialComponent(**kwargs)
+    if field_name == "n_protons":
+        for bad in (32.5, True, math.nan, math.inf, -math.inf):
+            kwargs[field_name] = bad
+            with pytest.raises(ValueError, match="n_protons of 'x' must be an integer"):
+                MaterialComponent(**kwargs)
 
 
 @pytest.mark.parametrize("field_name", ["atoms_per_kg", "mass", "live_time"])
@@ -317,6 +322,9 @@ def test_signal_shape_needs_two_points():
     model = SignalModel((flat_material(),), WINDOW)
     with pytest.raises(ValueError):
         signal_shape(model, 1)
+    for bad in (2.5, True, math.nan):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            signal_shape(model, bad)
     energies, _ = signal_shape(model, 2)
     assert len(energies) == 2
 

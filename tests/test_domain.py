@@ -14,7 +14,6 @@ from cslrad.domain import (
     NoiseParams,
     Particle,
     ParticleSystem,
-    joule_to_kev,
     kev_to_joule,
     particle_system_from_json,
     wavelength_from_energy,
@@ -43,11 +42,6 @@ def test_kev_in_joules_exact():
     assert KEV_IN_JOULES == 1.602176634e-16
     assert kev_to_joule(1.0) == KEV_IN_JOULES
     assert kev_to_joule(1000.0) == pytest.approx(1.602176634e-13, rel=1e-15)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e9))
-def test_energy_conversion_round_trip(e_kev):
-    assert joule_to_kev(kev_to_joule(e_kev)) == pytest.approx(e_kev, rel=1e-15)
 
 
 def test_wavelength_reference_point():
@@ -100,9 +94,6 @@ def test_noise_params_rejects_non_finite(field, bad):
 def test_particle_fields():
     p = Particle(charge_e=1.0, mass=M_PROTON, position=(1.0, 2.0, 3.0))
     assert p.position == (1.0, 2.0, 3.0)
-    assert p.charge_coulomb == pytest.approx(E_CHARGE, rel=1e-15)
-    neutral = Particle(charge_e=0.0, mass=M_PROTON)
-    assert neutral.charge_coulomb == 0.0
 
 
 def test_particle_validation():
@@ -170,7 +161,6 @@ def test_particle_system_json_errors_name_the_problem(payload, fragment):
 
 def test_energy_window():
     w = EnergyWindow(1000.0, 3800.0)
-    assert w.width == 2800.0
     assert w.contains(1000.0) and w.contains(3800.0) and w.contains(2000.0)
     assert not w.contains(999.9) and not w.contains(3800.1)
     assert DEFAULT_WINDOW == w

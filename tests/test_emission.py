@@ -77,6 +77,9 @@ def test_coherence_factor_series_region(b):
 def test_coherence_factor_rejects_negative():
     with pytest.raises(ValueError):
         coherence_factor(-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="b must be finite"):
+            coherence_factor(bad)
 
 
 # --- f_ij_point -------------------------------------------------------------
@@ -146,6 +149,9 @@ def test_fij_even_in_separation(d):
 def test_fij_rejects_bad_r_c():
     with pytest.raises(ValueError):
         f_ij_point((0.0, 0.0, 0.0), M_NUCLEON, M_NUCLEON, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="r_c must be finite"):
+            f_ij_point((0.0, 0.0, 0.0), M_NUCLEON, M_NUCLEON, bad)
 
 
 # --- j_ij_expectation -------------------------------------------------------
@@ -221,6 +227,10 @@ def test_jij_rejects_bad_omega():
     with pytest.raises(ValueError):
         j_ij_expectation(0.0, (0, 0, 0), (0, 0, 0), 1.0, 0.3, NOISE,
                          (M_NUCLEON, M_NUCLEON))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            j_ij_expectation(bad, (0, 0, 0), (0, 0, 0), 1.0, 0.3, NOISE,
+                             (M_NUCLEON, M_NUCLEON))
 
 
 def test_isotropic_substitution_gap_at_intermediate_separation():
@@ -283,6 +293,9 @@ def test_rate_energy_scaling(rate_fn, charges):
 def test_rate_rejects_nonpositive_energy(rate_fn):
     with pytest.raises(ValueError):
         rate_fn([1.0], NOISE, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            rate_fn([1.0], NOISE, bad)
 
 
 @given(st.floats(min_value=1e-20, max_value=1e-10),
@@ -313,6 +326,16 @@ def test_atomic_amplification_values():
     assert atomic_amplification(1, include_electrons=True) == 2.0
     with pytest.raises(ValueError):
         atomic_amplification(0)
+    for bad in (32.5, True, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="atomic number must be an integer"):
+            atomic_amplification(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="huge")])
+def test_atomic_rate_rejects_non_finite_atoms(bad):
+    with pytest.raises(ValueError, match="n_atoms must be finite"):
+        rate_atomic(bad, 32, NOISE, 50.0)
 
 
 @pytest.mark.parametrize("include_electrons", [True, False])
@@ -580,6 +603,17 @@ def test_general_matches_pair_loop_across_the_cutoff(n, spacing, energy, seed):
 def test_general_rejects_nonpositive_energy():
     with pytest.raises(ValueError):
         rate_general(ParticleSystem((proton(),)), NOISE, -5.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            rate_general(ParticleSystem((proton(),)), NOISE, bad)
+
+
+@pytest.mark.parametrize("charge", [1.0, -1.0, 2.0, -26.0, 92.0])
+@pytest.mark.parametrize("energy", [10.0, 777.0, 1234.5, 3.3e4])
+def test_general_single_charge_is_exactly_incoherent(charge, energy):
+    system = ParticleSystem((Particle(charge_e=charge, mass=M_NUCLEON),))
+    assert rate_general(system, NOISE, energy) == \
+        rate_incoherent([charge], NOISE, energy)
 
 
 # --- classify_regime --------------------------------------------------------
@@ -602,6 +636,14 @@ def test_regime_atom_scale_is_incoherent():
 def test_regime_intermediate_is_mixed():
     system = ParticleSystem((proton(), proton(1e-12)))
     assert classify_regime(system, NOISE, 1000.0).kind is RegimeKind.MIXED
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_regime_rejects_non_finite_energy(n_particles, bad):
+    system = ParticleSystem(tuple(proton(1e-12 * i) for i in range(n_particles)))
+    with pytest.raises(ValueError, match="photon energy must be finite"):
+        classify_regime(system, NOISE, bad)
 
 
 def test_regime_single_particle_is_coherent():

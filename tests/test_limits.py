@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cslrad.domain import DEFAULT_WINDOW
+from cslrad.domain import check_count
 from cslrad.limits import (
     DEFAULT_BACKGROUND_COUNTS,
     DEFAULT_CREDIBILITY,
@@ -28,7 +28,6 @@ from cslrad.limits import (
     exclusion_curve,
     posterior_cdf,
     posterior_pdf,
-    _check_count,
     upper_limit_lambda,
     write_exclusion_csv,
 )
@@ -49,13 +48,12 @@ def test_reference_analysis_constants():
     assert DEFAULT_SIGNAL_CONSTANT == 2.0986
     assert DEFAULT_CREDIBILITY == 0.95
     assert REFERENCE.a == 2.0986
-    assert REFERENCE.window == DEFAULT_WINDOW
 
 
 # --- experiment validation --------------------------------------------------
 
 @pytest.mark.parametrize("bad", [1.5, True, -1, "5", 3.0, np.float64(3), "3",
-                                 np.True_])
+                                 np.True_, pytest.param(10 ** 400, id="huge")])
 def test_experiment_rejects_bad_counts(bad):
     with pytest.raises(ValueError):
         CountingExperiment(z_c=bad, z_b=0)
@@ -66,10 +64,9 @@ def test_experiment_rejects_bad_counts(bad):
 def test_experiment_rejects_nonpositive_a():
     with pytest.raises(ValueError, match="signal constant"):
         CountingExperiment(z_c=1, z_b=1, a=0.0)
-
-
-def test_experiment_background_mean():
-    assert CountingExperiment(z_c=5, z_b=7).background_mean == 8.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="signal constant a must be finite"):
+            CountingExperiment(z_c=1, z_b=1, a=bad)
 
 
 def test_experiment_accepts_numpy_integers():
@@ -79,7 +76,7 @@ def test_experiment_accepts_numpy_integers():
 
 @pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3)])
 def test_check_count_returns_a_plain_int(good):
-    count = _check_count("z_c", good)
+    count = check_count(good, "z_c")
     assert count == 3 and type(count) is int
 
 
@@ -119,6 +116,10 @@ def test_posterior_pdf_normalized(z_c):
 def test_posterior_pdf_rejects_negative():
     with pytest.raises(ValueError):
         posterior_pdf(CountingExperiment(z_c=1, z_b=0), -0.1)
+    for fn in (posterior_pdf, posterior_cdf):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="expected count must be finite"):
+                fn(CountingExperiment(z_c=1, z_b=0), bad)
 
 
 def test_posterior_cdf_matches_gamma():
@@ -228,6 +229,9 @@ def test_limit_rejects_bad_r_c():
     for bad in (0.0, -1e-7):
         with pytest.raises(ValueError, match="correlation length"):
             upper_limit_lambda(REFERENCE, bad)
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="correlation length r_c must be finite"):
+            upper_limit_lambda(REFERENCE, bad)
 
 
 @given(st.floats(min_value=1e-9, max_value=1e-3))
@@ -285,10 +289,14 @@ def test_exclusion_raises_without_positive_quota():
 
 @pytest.mark.parametrize("kwargs", [
     {"r_c_min": 0.0}, {"r_c_min": 1e-3, "r_c_max": 1e-9}, {"n_points": 1},
+    {"r_c_max": math.inf}, {"n_points": math.nan}, {"n_points": math.inf},
+    {"n_points": 32.5}, {"n_points": True},
 ])
 def test_exclusion_rejects_bad_grid(kwargs):
-    with pytest.raises(ValueError):
-        exclusion_curve(REFERENCE, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r_c_min|n_points"):
+            exclusion_curve(REFERENCE, **kwargs)
 
 
 def test_exclusion_curve_validation():

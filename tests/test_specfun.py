@@ -51,6 +51,9 @@ def test_ln_gamma_rejects_nonpositive():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             ln_gamma(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="requires finite s"):
+            ln_gamma(bad)
 
 
 @given(st.floats(min_value=0.5, max_value=1e5))
@@ -113,6 +116,11 @@ def test_p_rejects_bad_arguments():
         reg_lower_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         reg_lower_gamma(1.0, -0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="requires finite s"):
+            reg_lower_gamma(bad, 1.0)
+        with pytest.raises(ValueError, match="requires finite x"):
+            reg_lower_gamma(2.0, bad)
 
 
 # --- normal_quantile --------------------------------------------------------
@@ -210,6 +218,9 @@ def test_quantile_rejects_bad_arguments():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             gamma_quantile(577.0, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="requires finite s"):
+            gamma_quantile(bad, 0.5)
 
 
 # --- integrate --------------------------------------------------------------
