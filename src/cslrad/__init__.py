@@ -56,7 +56,6 @@ from .limits import (
     NoPositiveLimitError,
     UpperLimit,
     exclusion_curve,
-    posterior_cdf,
     posterior_pdf,
     upper_limit_lambda,
     write_exclusion_csv,
@@ -98,7 +97,6 @@ __all__ = [
     "f_ij_point",
     "j_ij_expectation",
     "particle_system_from_json",
-    "posterior_cdf",
     "posterior_pdf",
     "rate_atomic",
     "rate_coherent",

@@ -8,7 +8,8 @@ Conventions: every subcommand takes ``--output PATH`` (default standard
 output); reports print numbers to 4 significant digits, CSVs to 17;
 warnings go to standard error so CSV output stays parseable.  Exit codes
 are 0 (success), 1 (usage, parse, I/O, or numerical error), 2 (no positive
-limit).
+limit).  argparse only parses numbers; whether one is in range is decided
+by the library call it feeds, whose ValueError names the quantity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 
 from . import detector, emission, limits
@@ -30,34 +30,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
-def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 points, got {text}")
-    return value
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -101,9 +73,6 @@ def cmd_limit(args) -> int:
 
 
 def cmd_exclusion(args) -> int:
-    if not args.r_c_min < args.r_c_max:
-        raise ValueError(
-            f"need --r-c-min < --r-c-max, got {args.r_c_min} and {args.r_c_max}")
     exp = limits.CountingExperiment(z_c=args.z_c, z_b=args.z_b, a=args.a)
     curve = limits.exclusion_curve(exp, args.r_c_min, args.r_c_max,
                                    args.n_points, args.credibility)
@@ -218,24 +187,24 @@ def cmd_regime(args) -> int:
 
 
 def _add_counting_flags(sub) -> None:
-    sub.add_argument("--z-c", type=_nonnegative_int,
+    sub.add_argument("--z-c", type=int,
                      default=limits.DEFAULT_OBSERVED_COUNTS,
                      help="observed counts in the window")
-    sub.add_argument("--z-b", type=_nonnegative_int,
+    sub.add_argument("--z-b", type=int,
                      default=limits.DEFAULT_BACKGROUND_COUNTS,
                      help="simulated background counts")
-    sub.add_argument("--a", type=_positive_float,
+    sub.add_argument("--a", type=float,
                      default=limits.DEFAULT_SIGNAL_CONSTANT,
                      help="signal constant in s m^2")
-    sub.add_argument("--credibility", type=_probability,
+    sub.add_argument("--credibility", type=float,
                      default=limits.DEFAULT_CREDIBILITY,
                      help="posterior credibility of the bound")
 
 
 def _add_noise_flags(sub) -> None:
-    sub.add_argument("--collapse-rate", type=_positive_float, default=1e-16,
+    sub.add_argument("--collapse-rate", type=float, default=1e-16,
                      help="collapse rate lambda in 1/s")
-    sub.add_argument("--r-c", type=_positive_float, default=1e-7,
+    sub.add_argument("--r-c", type=float, default=1e-7,
                      help="noise correlation length in m")
 
 
@@ -246,15 +215,15 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("limit", help="upper limit on the collapse rate")
     _add_counting_flags(sub)
-    sub.add_argument("--r-c", type=_positive_float, default=1e-7,
+    sub.add_argument("--r-c", type=float, default=1e-7,
                      help="noise correlation length in m")
     sub.set_defaults(func=cmd_limit)
 
     sub = subs.add_parser("exclusion", help="lambda_max over an r_c grid (CSV)")
     _add_counting_flags(sub)
-    sub.add_argument("--r-c-min", type=_positive_float, default=1e-9)
-    sub.add_argument("--r-c-max", type=_positive_float, default=1e-3)
-    sub.add_argument("--n-points", type=_grid_size, default=200)
+    sub.add_argument("--r-c-min", type=float, default=1e-9)
+    sub.add_argument("--r-c-max", type=float, default=1e-3)
+    sub.add_argument("--n-points", type=int, default=200)
     sub.set_defaults(func=cmd_exclusion)
 
     sub = subs.add_parser("signal", help="signal constant of an inventory")
@@ -265,17 +234,17 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("shape", help="normalized signal spectrum (CSV)")
     sub.add_argument("--inventory", required=True,
                      help="material inventory JSON path")
-    sub.add_argument("--n-points", type=_grid_size, default=200)
+    sub.add_argument("--n-points", type=int, default=200)
     sub.set_defaults(func=cmd_shape)
 
     sub = subs.add_parser("rate", help="emission rate density at one energy")
     sub.add_argument("--system", help="particle-system JSON path")
-    sub.add_argument("--atoms", type=_positive_float,
+    sub.add_argument("--atoms", type=float,
                      help="number of atoms (atomic mode)")
     sub.add_argument("--na", type=int, help="atomic number (atomic mode)")
     sub.add_argument("--electrons", action=argparse.BooleanOptionalAction,
                      default=True, help="include the incoherent electron term")
-    sub.add_argument("--energy", type=_positive_float, default=1000.0,
+    sub.add_argument("--energy", type=float, default=1000.0,
                      help="photon energy in keV")
     _add_noise_flags(sub)
     sub.set_defaults(func=cmd_rate)
@@ -283,14 +252,14 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("efficiency", help="built-in efficiency polynomial")
     sub.add_argument("--dataset", default="paper-table-1")
     sub.add_argument("--material", required=True)
-    sub.add_argument("--energy", type=_positive_float, required=True,
+    sub.add_argument("--energy", type=float, required=True,
                      help="photon energy in keV")
     sub.set_defaults(func=cmd_efficiency)
 
     sub = subs.add_parser("regime", help="coherent/incoherent classification")
     sub.add_argument("--system", required=True,
                      help="particle-system JSON path")
-    sub.add_argument("--energy", type=_positive_float, default=1000.0,
+    sub.add_argument("--energy", type=float, default=1000.0,
                      help="photon energy in keV")
     _add_noise_flags(sub)
     sub.set_defaults(func=cmd_regime)

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .domain import (CONSTANTS, M_NUCLEON, EnergyWindow, check_count,
-                     check_finite_positive)
+                     check_finite_positive, to_float)
 from .specfun import QuadratureSpec, integrate
 
 
@@ -258,7 +258,7 @@ def signal_model_from_json(text: str) -> SignalModel:
     window_spec = data["window_kev"]
     if not isinstance(window_spec, (list, tuple)) or len(window_spec) != 2:
         raise ValueError("'window_kev' must be a [min, max] pair")
-    window = EnergyWindow(float(window_spec[0]), float(window_spec[1]))
+    window = EnergyWindow(*(to_float(e, "window_kev") for e in window_spec))
     if "materials" not in data:
         raise ValueError("inventory missing field 'materials'")
     if not isinstance(data["materials"], list):
@@ -274,13 +274,15 @@ def signal_model_from_json(text: str) -> SignalModel:
                 raise ValueError(f"material {label}: missing field '{key}'")
             if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
                 raise ValueError(f"material {label}: field '{key}' has wrong type")
+        where = f"material {label}: field"
         materials.append(MaterialComponent(
             name=entry["name"],
             n_protons=entry["n_protons"],
-            atoms_per_kg=float(entry["atoms_per_kg"]),
-            mass=float(entry["mass_kg"]),
-            live_time=float(entry["live_time_s"]),
-            efficiency=EfficiencyPoly(tuple(float(c)
-                                            for c in entry["efficiency_coeffs"])),
+            atoms_per_kg=to_float(entry["atoms_per_kg"], f"{where} 'atoms_per_kg'"),
+            mass=to_float(entry["mass_kg"], f"{where} 'mass_kg'"),
+            live_time=to_float(entry["live_time_s"], f"{where} 'live_time_s'"),
+            efficiency=EfficiencyPoly(tuple(
+                to_float(c, f"{where} 'efficiency_coeffs'")
+                for c in entry["efficiency_coeffs"])),
         ))
     return SignalModel(tuple(materials), window)

@@ -27,16 +27,29 @@ def _is_finite(value) -> bool:
         return False
 
 
+def format_value(value) -> str:
+    """repr(value) for an error message, short even for a huge int.
+
+    An int beyond float64 is described, not spelled out: it may run to
+    thousands of digits, and past 4300 of them repr() itself raises.
+    """
+    if isinstance(value, int) and not _is_finite(value):
+        return f"an integer {'below' if value < 0 else 'above'} the float64 range"
+    return repr(value)
+
+
 def check_finite_positive(value, name: str) -> None:
     """Raise ValueError unless value is a finite number above zero."""
     if not (_is_finite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise ValueError(
+            f"{name} must be finite and positive, got {format_value(value)}")
 
 
 def check_finite_nonnegative(value, name: str) -> None:
     """Raise ValueError unless value is a finite number >= 0."""
     if not (_is_finite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        raise ValueError(
+            f"{name} must be finite and >= 0, got {format_value(value)}")
 
 
 def check_count(value, name: str, minimum: int = 0) -> int:
@@ -52,12 +65,24 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     if count is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer count, got {value!r}")
     if count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+        raise ValueError(f"{name} must be >= {minimum}, got {format_value(count)}")
+    to_float(count, name)  # raises if the count overflows a float64
+    return count
+
+
+def to_float(value, name: str) -> float:
+    """float(value), or a ValueError naming the quantity.
+
+    An int too large for a float64, or a value that is no number (as a
+    JSON file can hold), raises ValueError rather than OverflowError or
+    TypeError.
+    """
     try:
-        float(count)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float64") from None
-    return count
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{exc} ({name})") from None
 
 
 @dataclass(frozen=True)
@@ -148,9 +173,6 @@ class ParticleSystem:
     def __len__(self) -> int:
         return len(self.particles)
 
-    def __iter__(self):
-        return iter(self.particles)
-
 
 def particle_system_from_json(text: str) -> ParticleSystem:
     """Parse the particle-system JSON wire format.
@@ -174,12 +196,12 @@ def particle_system_from_json(text: str) -> ParticleSystem:
         try:
             particles.append(
                 Particle(
-                    charge_e=float(entry["charge_e"]),
-                    mass=float(entry["mass_kg"]),
-                    position=tuple(float(x) for x in pos),
+                    charge_e=to_float(entry["charge_e"], "charge_e"),
+                    mass=to_float(entry["mass_kg"], "mass_kg"),
+                    position=tuple(to_float(x, "position_m") for x in pos),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"particle {i}: {exc}") from None
     return ParticleSystem(tuple(particles))
 

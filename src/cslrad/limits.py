@@ -22,8 +22,11 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .domain import check_count, check_finite_nonnegative, check_finite_positive
-from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma
+from .domain import (check_count, check_finite_nonnegative,
+                     check_finite_positive, format_value)
+# reg_lower_gamma is not called here, but perfbench's tracer wraps
+# limits.reg_lower_gamma, so the name stays importable from this module.
+from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma  # noqa: F401
 
 # NumPy is imported inside the functions that build or read arrays, so
 # that importing cslrad, and the CLI subcommands that need no array,
@@ -150,12 +153,6 @@ def posterior_pdf(exp: CountingExperiment, lambda_c: float) -> float:
     return math.exp(log_pdf)
 
 
-def posterior_cdf(exp: CountingExperiment, lambda_c: float) -> float:
-    """Posterior probability that the Poisson mean is below lambda_c."""
-    check_finite_nonnegative(lambda_c, "expected count")
-    return reg_lower_gamma(exp.z_c + 1.0, lambda_c)
-
-
 def credible_count_bound(exp: CountingExperiment, credibility: float) -> float:
     """Upper credible bound Lambda_bar on the total Poisson mean.
 
@@ -163,7 +160,8 @@ def credible_count_bound(exp: CountingExperiment, credibility: float) -> float:
     value the experiment keeps.
     """
     if not (0.0 < credibility < 1.0):
-        raise ValueError(f"credibility must be in (0, 1), got {credibility}")
+        raise ValueError(
+            f"credibility must be in (0, 1), got {format_value(credibility)}")
     bounds = exp._count_bounds
     if credibility not in bounds:
         bounds[credibility] = gamma_quantile(exp.z_c + 1.0, credibility)
@@ -213,7 +211,8 @@ def exclusion_curve(exp: CountingExperiment,
 
     if not 0.0 < r_c_min < r_c_max < math.inf:
         raise ValueError(
-            f"need 0 < r_c_min < r_c_max < inf, got {r_c_min} and {r_c_max}")
+            f"need 0 < r_c_min < r_c_max < inf, got {format_value(r_c_min)} "
+            f"and {format_value(r_c_max)}")
     n_points = check_count(n_points, "n_points", 2)
     lambda_bar, quota = _signal_quota(exp, credibility)
     if quota <= 0.0:

@@ -9,6 +9,7 @@ installer would, so the suite needs no prior install.
 """
 
 import json
+import os
 import re
 import stat
 import subprocess
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cslrad import detector, emission, limits
+from cslrad import cli, detector, emission, limits
 from cslrad.cli import main
 from cslrad.domain import NoiseParams
 from cslrad.specfun import ConvergenceError
@@ -90,13 +91,9 @@ def test_limit_without_positive_quota(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["limit", "--z-c", "-1"],
-    ["limit", "--credibility", "1.5"],
-    ["limit", "--r-c", "0"],
-    ["limit", "--a", "-2"],
-    ["exclusion", "--n-points", "1"],
     ["nonsense"],
     [],
+    ["limit", "--z-c", "abc"],
 ])
 def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as err:
@@ -104,18 +101,44 @@ def test_usage_errors_exit_1(argv):
     assert err.value.code == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["limit", "--r-c", "inf"],
-    ["limit", "--r-c", "nan"],
-    ["limit", "--credibility", "nan"],
-    ["rate", "--atoms", "inf", "--na", "32"],
-])
-def test_non_finite_numbers_exit_1(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 1
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert re.match(rf"cslrad {argv[0]}: error: argument {argv[1]}: ", last)
+# argparse only parses numbers.  One that is out of range or not finite
+# reaches the library call, whose ValueError names the quantity.
+@pytest.mark.parametrize("argv, quantity", [
+    (["limit", "--z-c", "-1"], "z_c"),
+    (["limit", "--credibility", "1.5"], "credibility"),
+    (["limit", "--r-c", "0"], "correlation length r_c"),
+    (["limit", "--a", "-2"], "signal constant a"),
+    (["exclusion", "--n-points", "1"], "n_points"),
+    (["limit", "--r-c", "inf"], "correlation length r_c"),
+    (["limit", "--r-c", "nan"], "correlation length r_c"),
+    (["limit", "--credibility", "nan"], "credibility"),
+    (["rate", "--atoms", "inf", "--na", "32"], "n_atoms"),
+    (["limit", "--z-b", "-1"], "z_b"),
+    (["exclusion", "--r-c-min", "0"], "r_c_min"),
+    (["exclusion", "--r-c-max", "nan"], "r_c_max"),
+    (["shape", "--inventory", "ge.json", "--n-points", "1"], "n_points"),
+    (["rate", "--atoms", "1e20", "--na", "32", "--collapse-rate", "0"],
+     "lambda_collapse"),
+    (["rate", "--atoms", "1e20", "--na", "32", "--energy", "-1"], "energy"),
+    (["efficiency", "--material", "Ge crystal", "--energy", "-1"], "energy"),
+    (["regime", "--system", "x.json", "--energy", "inf"], "photon energy"),
+    (["rate", "--atoms", "1e20", "--na", "0"], "atomic number"),
+], ids=["limit-z_c", "limit-credibility", "limit-r_c-zero", "limit-a",
+        "exclusion-n_points", "limit-r_c-inf", "limit-r_c-nan",
+        "limit-credibility-nan", "rate-atoms-inf", "limit-z_b",
+        "exclusion-r_c_min", "exclusion-r_c_max", "shape-n_points",
+        "rate-collapse_rate", "rate-energy", "efficiency-energy",
+        "regime-energy", "rate-na"])
+def test_out_of_range_numbers_exit_1(argv, quantity, capsys, tmp_path):
+    argv = [str(GE_INVENTORY) if a == "ge.json"
+            else proton_system(tmp_path, (0, 0, 0), (1e-12, 0, 0)) if a == "x.json"
+            else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    last = captured.err.strip().splitlines()[-1]
+    assert re.match(rf"cslrad: error: (.* )?{re.escape(quantity)}\b", last), last
 
 
 def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
@@ -125,12 +148,29 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     inventory = json.loads(GE_INVENTORY.read_text())
     inventory["materials"][0]["atoms_per_kg"] = float("nan")
     inventory = write_json(tmp_path, "nan_inventory.json", inventory)
-    for argv in (["rate", "--system", system], ["regime", "--system", system],
-                 ["shape", "--inventory", inventory]):
+    # a 401-digit JSON integer parses as a Python int too large for a float64
+    huge_charge = write_json(tmp_path, "huge_charge.json", [
+        {"charge_e": 10 ** 400, "mass_kg": 1e-27, "position_m": [0, 0, 0]}])
+    huge_position = write_json(tmp_path, "huge_position.json", [
+        {"charge_e": 1, "mass_kg": 1e-27, "position_m": [0, 10 ** 400, 0]}])
+    huge_atoms = json.loads(GE_INVENTORY.read_text())
+    huge_atoms["materials"][0]["atoms_per_kg"] = 10 ** 400
+    huge_atoms = write_json(tmp_path, "huge_atoms.json", huge_atoms)
+    huge_window = json.loads(GE_INVENTORY.read_text())
+    huge_window["window_kev"][0] = 10 ** 400
+    huge_window = write_json(tmp_path, "huge_window.json", huge_window)
+    for argv, field in ((["rate", "--system", system], "charge_e"),
+                        (["regime", "--system", system], "charge_e"),
+                        (["shape", "--inventory", inventory], "atoms_per_kg"),
+                        (["rate", "--system", huge_charge], "charge_e"),
+                        (["regime", "--system", huge_position], "position_m"),
+                        (["signal", "--inventory", huge_atoms], "atoms_per_kg"),
+                        (["shape", "--inventory", huge_window], "window_kev")):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cslrad: error: ")
+        assert field in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -317,6 +357,14 @@ def test_rate_system_matches_api(tmp_path, capsys):
     assert report_value(out, "particles") == "1"
 
 
+def test_rate_zero_atoms(capsys):
+    # rate_atomic accepts n_atoms = 0, so the CLI gives a zero rate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", emission.ValidityWarning)
+        assert main(["rate", "--atoms", "0", "--na", "32"]) == 0
+    assert report_value(capsys.readouterr().out, "dGamma/dE") == "0.000e+00"
+
+
 @pytest.mark.parametrize("argv", [
     ["rate"],
     ["rate", "--atoms", "1e20"],
@@ -372,8 +420,15 @@ def test_regime_incoherent(tmp_path, capsys):
 
 # --- stream routing (subprocess) -------------------------------------------
 
+def child_env():
+    """The environment of a child Python that imports the cslrad under test."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def run_module(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "cslrad", *argv],
+    return subprocess.run([sys.executable, "-m", "cslrad", *argv], env=child_env(),
                           capture_output=True, text=True, cwd=cwd, timeout=60)
 
 
@@ -407,8 +462,8 @@ def write_console_script(bin_dir, name):
 
 def test_console_script_installed(tmp_path):
     exe = write_console_script(tmp_path / "bin", "cslrad")
-    result = subprocess.run([exe, "limit"], capture_output=True, text=True,
-                            timeout=60)
+    result = subprocess.run([exe, "limit"], env=child_env(), capture_output=True,
+                            text=True, timeout=60)
     assert result.returncode == 0
     assert "5.197e-13" in result.stdout
 
@@ -468,7 +523,7 @@ def test_scalar_subcommands_leave_numpy_unloaded(tmp_path):
     """)
     result = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(calls), str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen == [["import cslrad", 0, False], ["limit", 0, False],

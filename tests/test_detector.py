@@ -391,6 +391,23 @@ def _broken(mutate):
     (lambda d: d.update(window_kev=[1000.0, math.inf]), "e_max < inf"),
     (lambda d: d["materials"][0]["efficiency_coeffs"].__setitem__(0, math.nan),
      "efficiency coefficients"),
+    # a 401-digit JSON integer parses as a Python int too large for a float64
+    (lambda d: d["window_kev"].__setitem__(0, 10 ** 400),
+     "^window_kev is too large for a float64$"),
+    (lambda d: d["window_kev"].__setitem__(1, 10 ** 400),
+     "^window_kev is too large for a float64$"),
+    (lambda d: d["materials"][0].update(n_protons=10 ** 400),
+     "n_protons of 'Ge crystal' is too large"),
+    (lambda d: d["materials"][0].update(atoms_per_kg=10 ** 400),
+     "'atoms_per_kg' is too large"),
+    (lambda d: d["materials"][0].update(mass_kg=10 ** 400), "'mass_kg' is too large"),
+    (lambda d: d["materials"][0].update(live_time_s=10 ** 400),
+     "'live_time_s' is too large"),
+    (lambda d: d["materials"][0]["efficiency_coeffs"].__setitem__(2, 10 ** 400),
+     "'efficiency_coeffs' is too large"),
+    (lambda d: d["window_kev"].__setitem__(0, None), r"\(window_kev\)$"),
+    (lambda d: d["materials"][0]["efficiency_coeffs"].__setitem__(0, "x"),
+     r"\(material Ge crystal: field 'efficiency_coeffs'\)$"),
 ])
 def test_inventory_errors_name_the_problem(mutate, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -83,12 +83,15 @@ def test_noise_params_validation():
 
 
 @pytest.mark.parametrize("field", ["lambda_collapse", "r_c", "m0"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                 pytest.param(10 ** 400, id="huge"),
+                                 pytest.param(10 ** 5000, id="huge-5001-digits")])
 def test_noise_params_rejects_non_finite(field, bad):
     kwargs = dict(lambda_collapse=1e-16, r_c=1e-7, m0=M_PROTON)
     kwargs[field] = bad
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as err:
         NoiseParams(**kwargs)
+    assert len(str(err.value)) < 100  # a huge int is not spelled out
 
 
 def test_particle_fields():
@@ -115,7 +118,7 @@ def test_particle_system_preserves_order_and_rejects_empty():
     b = Particle(-1.0, M_PROTON, (1.0, 0.0, 0.0))
     sys2 = ParticleSystem((a, b))
     assert len(sys2) == 2
-    assert list(sys2) == [a, b]
+    assert sys2.particles == (a, b)
     with pytest.raises(ValueError):
         ParticleSystem(())
 
@@ -153,6 +156,13 @@ def test_particle_system_json_round_trip():
      "particle 0: position"),
     ('[{"charge_e": null, "mass_kg": 1e-27, "position_m": [0,0,0]}]',
      "particle 0: float"),
+    # a 401-digit JSON integer parses as a Python int too large for a float64
+    pytest.param(f'[{{"charge_e": {10 ** 400}, "mass_kg": 1e-27, "position_m": [0,0,0]}}]',
+                 "particle 0: charge_e is too large", id="huge-charge_e"),
+    pytest.param(f'[{{"charge_e": 1, "mass_kg": {10 ** 400}, "position_m": [0,0,0]}}]',
+                 "particle 0: mass_kg is too large", id="huge-mass_kg"),
+    pytest.param(f'[{{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,{10 ** 400},0]}}]',
+                 "particle 0: position_m is too large", id="huge-position_m"),
 ])
 def test_particle_system_json_errors_name_the_problem(payload, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -9,6 +9,7 @@ import io
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,7 +27,6 @@ from cslrad.limits import (
     UpperLimit,
     credible_count_bound,
     exclusion_curve,
-    posterior_cdf,
     posterior_pdf,
     upper_limit_lambda,
     write_exclusion_csv,
@@ -53,12 +53,13 @@ def test_reference_analysis_constants():
 # --- experiment validation --------------------------------------------------
 
 @pytest.mark.parametrize("bad", [1.5, True, -1, "5", 3.0, np.float64(3), "3",
-                                 np.True_, pytest.param(10 ** 400, id="huge")])
+                                 np.True_, pytest.param(10 ** 400, id="huge"),
+                                 pytest.param(-10 ** 5000, id="huge-negative")])
 def test_experiment_rejects_bad_counts(bad):
-    with pytest.raises(ValueError):
-        CountingExperiment(z_c=bad, z_b=0)
-    with pytest.raises(ValueError):
-        CountingExperiment(z_c=0, z_b=bad)
+    for name in ("z_c", "z_b"):
+        with pytest.raises(ValueError, match=name) as err:
+            CountingExperiment(**{"z_c": 0, "z_b": 0, name: bad})
+        assert len(str(err.value)) < 80  # a huge int is not spelled out
 
 
 def test_experiment_rejects_nonpositive_a():
@@ -116,25 +117,30 @@ def test_posterior_pdf_normalized(z_c):
 def test_posterior_pdf_rejects_negative():
     with pytest.raises(ValueError):
         posterior_pdf(CountingExperiment(z_c=1, z_b=0), -0.1)
-    for fn in (posterior_pdf, posterior_cdf):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="expected count must be finite"):
-                fn(CountingExperiment(z_c=1, z_b=0), bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="expected count must be finite"):
+            posterior_pdf(CountingExperiment(z_c=1, z_b=0), bad)
 
+
+# The posterior CDF of the Poisson mean is reg_lower_gamma(z_c + 1, .),
+# the function credible_count_bound inverts.
 
 def test_posterior_cdf_matches_gamma():
     exp = CountingExperiment(z_c=12, z_b=0)
-    for lam in (0.0, 4.0, 13.0, 30.0):
-        assert posterior_cdf(exp, lam) == reg_lower_gamma(13.0, lam)
+    assert reg_lower_gamma(exp.z_c + 1.0, 0.0) == 0.0
+    for lam in (4.0, 13.0, 30.0):
+        want = float(mpmath.gammainc(exp.z_c + 1, 0, lam, regularized=True))
+        assert reg_lower_gamma(exp.z_c + 1.0, lam) == pytest.approx(want, rel=1e-13)
 
 
 def test_posterior_cdf_zero_counts_log20():
     exp = CountingExperiment(z_c=0, z_b=0)
-    assert posterior_cdf(exp, math.log(20.0)) == pytest.approx(0.95, rel=1e-14)
+    assert reg_lower_gamma(exp.z_c + 1.0, math.log(20.0)) == \
+        pytest.approx(0.95, rel=1e-14)
 
 
 def test_posterior_cdf_at_reference_bound():
-    assert posterior_cdf(REFERENCE, LAMBDA_BAR_REF) == \
+    assert reg_lower_gamma(REFERENCE.z_c + 1.0, LAMBDA_BAR_REF) == \
         pytest.approx(0.95, abs=1e-12)
 
 
@@ -229,9 +235,11 @@ def test_limit_rejects_bad_r_c():
     for bad in (0.0, -1e-7):
         with pytest.raises(ValueError, match="correlation length"):
             upper_limit_lambda(REFERENCE, bad)
-    for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
-        with pytest.raises(ValueError, match="correlation length r_c must be finite"):
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, 10 ** 5000):
+        with pytest.raises(ValueError,
+                           match="correlation length r_c must be finite") as err:
             upper_limit_lambda(REFERENCE, bad)
+        assert len(str(err.value)) < 100  # a huge int is not spelled out
 
 
 @given(st.floats(min_value=1e-9, max_value=1e-3))
