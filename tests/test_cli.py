@@ -91,9 +91,13 @@ def test_limit_without_positive_quota(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["limit", "--z-c", "abc"],
+    ["limit", "--credibility", "high"],
+    ["limit", "--r-c", "1e-7m"],
+    ["limit", "--a", ""],
+    ["exclusion", "--n-points", "1.5"],
     ["nonsense"],
     [],
-    ["limit", "--z-c", "abc"],
 ])
 def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as err:
