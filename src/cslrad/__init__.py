@@ -5,8 +5,8 @@ for charged-particle systems and atoms, ``detector`` folds them through
 fitted detection-efficiency polynomials into an expected-signal constant,
 and ``limits`` turns observed counts into an upper bound on the collapse
 rate and a bound-vs-correlation-length exclusion curve.  ``specfun``
-holds the self-contained numerics (incomplete gamma, quantiles,
-quadrature) everything else relies on.
+holds the self-contained numerics (incomplete gamma, quantiles, the
+exact integral of a clamped polynomial) everything else relies on.
 """
 
 from .domain import (

@@ -13,7 +13,8 @@ eps_i a fitted detection-efficiency polynomial in E (keV).
 Energy bookkeeping: written fully in SI the integrand carries 1/E_J and
 the measure dE_J; converting both to keV cancels the keV-to-joule factor
 exactly, so the integral is evaluated directly in keV and a*(lam/r_c^2)
-is a pure count.
+is a pure count.  Each eps_i is a polynomial, so its integral has a
+closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .domain import (CONSTANTS, M_NUCLEON, EnergyWindow, check_count,
                      check_finite_positive, to_float)
-from .specfun import QuadratureSpec, integrate
+from .specfun import horner, integrate
 
 
 class EfficiencyClampWarning(UserWarning):
@@ -66,16 +67,12 @@ class EfficiencyPoly:
 
     def raw_value(self, energy_kev: float) -> float:
         """Horner evaluation without the non-negativity clamp."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * energy_kev + c
-        return acc
+        return horner(self.coeffs, energy_kev)
 
 
 def eval_efficiency(poly: EfficiencyPoly, energy_kev: float) -> float:
     """Clamped polynomial efficiency; negative fit extrapolations become 0."""
-    if energy_kev <= 0:
-        raise ValueError(f"energy must be positive, got {energy_kev}")
+    check_finite_positive(energy_kev, "energy")
     value = poly.raw_value(energy_kev)
     if not math.isfinite(value):
         raise ValueError(
@@ -180,12 +177,18 @@ def signal_density(model: SignalModel, noise_ratio: float,
 
 def material_signal_constant(mat: MaterialComponent, window: EnergyWindow,
                              beta: float) -> float:
-    """One material's contribution to the signal constant a, in s m^2."""
-    def eff_over_e(e):
-        return eval_efficiency(mat.efficiency, e) / e
+    """One material's contribution to the signal constant a, in s m^2.
 
-    integral = integrate(eff_over_e, window.e_min, window.e_max,
-                         QuadratureSpec(rel_tol=1e-11))
+    The integral of the clamped efficiency over E is exact.  A fit that
+    goes negative in the window is clamped to 0 there, with one
+    EfficiencyClampWarning naming the material.
+    """
+    integral, clamped = integrate(mat.efficiency.coeffs, window.e_min, window.e_max)
+    if clamped:
+        warnings.warn(
+            f"efficiency polynomial of '{mat.name}' negative over part of "
+            f"[{window.e_min}, {window.e_max}] keV; clamped to 0",
+            EfficiencyClampWarning, stacklevel=2)
     return mat.n_protons ** 2 * mat.alpha * beta * integral
 
 

@@ -30,10 +30,12 @@ def _is_finite(value) -> bool:
 def format_value(value) -> str:
     """repr(value) for an error message, short even for a huge int.
 
-    An int beyond float64 is described, not spelled out: it may run to
-    thousands of digits, and past 4300 of them repr() itself raises.
+    An int of more than 17 digits is described, not spelled out: it may
+    run to thousands of digits, and past 4300 of them repr() itself raises.
     """
-    if isinstance(value, int) and not _is_finite(value):
+    if isinstance(value, int) and not -10 ** 17 < value < 10 ** 17:
+        if _is_finite(value):
+            return f"an integer near {float(value)!r}"
         return f"an integer {'below' if value < 0 else 'above'} the float64 range"
     return repr(value)
 
@@ -75,8 +77,11 @@ def to_float(value, name: str) -> float:
 
     An int too large for a float64, or a value that is no number (as a
     JSON file can hold), raises ValueError rather than OverflowError or
-    TypeError.
+    TypeError.  Strings and booleans are no numbers here, though float()
+    takes them.
     """
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"wrong type {type(value).__name__} ({name})")
     try:
         return float(value)
     except OverflowError:

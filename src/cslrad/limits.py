@@ -192,8 +192,8 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
         except OverflowError:  # float ** raises where * and / give inf
             lambda_max = math.inf
         if not math.isfinite(lambda_max):
-            raise ValueError(f"lambda_max is not finite at r_c = {r_c} m "
-                             f"and a = {exp.a} s m^2")
+            raise ValueError(f"lambda_max is not finite at r_c = {format_value(r_c)} m "
+                             f"and a = {format_value(exp.a)} s m^2")
     return UpperLimit(lambda_max=lambda_max, r_c=r_c, credibility=credibility,
                       lambda_bar_c=lambda_bar, signal_quota=quota)
 

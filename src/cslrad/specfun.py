@@ -2,8 +2,9 @@
 
 Log-gamma (Lanczos), the regularized lower incomplete gamma function
 P(s, x) (power series below x = s + 1, Lentz continued fraction above,
-both normalized in log space), its quantile in x, adaptive Simpson
-quadrature, and a safeguarded bracketed root refinement.
+both normalized in log space), its quantile in x by a safeguarded
+bracketed root refinement, and the exact integral of max(p(x), 0)/x for
+a polynomial p.
 
 Everything here must stay finite for shape parameters up to ~1e6, so all
 gamma-family evaluations go through logs; nothing ever forms Gamma(s)
@@ -13,22 +14,10 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature exceeded its depth budget.
-
-    Carries the best available estimate in ``best_estimate``.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
 
 
 # Lanczos approximation, g = 7, 9 coefficients (~1e-15 relative).
@@ -294,81 +283,68 @@ def gamma_quantile(s: float, p: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and recursion budget for adaptive Simpson quadrature."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-    max_depth: int = 50
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
+def horner(coeffs, x: float) -> float:
+    """Value of the polynomial sum_j coeffs[j] * x^j, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+def _bisect(coeffs, lo: float, hi: float, lo_negative: bool) -> float:
+    """The one sign change of a polynomial monotone on [lo, hi], to adjacent floats."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if (horner(coeffs, mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _adaptive(f, a, b, fa, fm, fb, whole, eps, depth, max_depth, exhausted):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    diff = left + right - whole
-    if abs(diff) <= 15.0 * eps or (b - a) <= 16.0 * math.ulp(m):
-        return left + right + diff / 15.0
-    if depth >= max_depth:
-        exhausted.append((a, b))
-        return left + right + diff / 15.0
-    return (
-        _adaptive(f, a, m, fa, flm, fm, left, 0.5 * eps, depth + 1, max_depth, exhausted)
-        + _adaptive(f, m, b, fm, frm, fb, right, 0.5 * eps, depth + 1, max_depth, exhausted)
-    )
+def _sign_changes(coeffs, lo: float, hi: float) -> list[float]:
+    """The points in (lo, hi) where the polynomial changes sign, ascending.
 
-
-_INITIAL_PANELS = 16
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Adaptive Simpson estimate of the integral of f over [a, b].
-
-    The relative tolerance is anchored on a 16-panel composite first
-    pass: a single 3-point estimate can miss a narrow feature entirely
-    and set the tolerance orders of magnitude too tight, which turns the
-    refinement into an effectively unbounded recursion.  A feature
-    narrower than 1/33 of the interval can still defeat the anchoring.
+    The sign changes of its derivative, found the same way down to a
+    linear polynomial, split [lo, hi] into pieces on which it is
+    monotone, so each piece holds at most one.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"integrate requires a < b, got ({a}, {b})")
-    n_nodes = 2 * _INITIAL_PANELS
-    nodes = [a + (b - a) * k / n_nodes for k in range(n_nodes + 1)]
-    nodes[-1] = b
-    values = [f(x) for x in nodes]
-    panels = []
-    whole = 0.0
-    for i in range(_INITIAL_PANELS):
-        pa, pm, pb = nodes[2 * i], nodes[2 * i + 1], nodes[2 * i + 2]
-        estimate = _simpson(values[2 * i], values[2 * i + 1],
-                            values[2 * i + 2], pb - pa)
-        panels.append((pa, pb, values[2 * i], values[2 * i + 1],
-                       values[2 * i + 2], estimate))
-        whole += estimate
-    eps = max(spec.abs_tol, spec.rel_tol * abs(whole), 1e-300)
-    exhausted: list[tuple[float, float]] = []
-    result = 0.0
-    for pa, pb, fa, fm, fb, estimate in panels:
-        result += _adaptive(f, pa, pb, fa, fm, fb, estimate,
-                            eps / _INITIAL_PANELS, 0, spec.max_depth, exhausted)
-    if exhausted:
-        raise QuadratureError(
-            f"adaptive Simpson hit max depth {spec.max_depth} on "
-            f"{len(exhausted)} subinterval(s), first {exhausted[0]}",
-            best_estimate=result,
-        )
-    return result
+    if len(coeffs) < 2:
+        return []
+    slope = [j * c for j, c in enumerate(coeffs)][1:]
+    edges = [lo, *_sign_changes(slope, lo, hi), hi]
+    roots = []
+    for left, right in zip(edges, edges[1:]):
+        negative = horner(coeffs, left) < 0.0
+        if (horner(coeffs, right) < 0.0) != negative:
+            roots.append(_bisect(coeffs, left, right, negative))
+    return roots
+
+
+def integrate(coeffs, a: float, b: float) -> tuple[float, bool]:
+    """Integral of max(p(x), 0) / x over [a, b], for p(x) = sum_j coeffs[j] x^j.
+
+    Returns the integral and whether p is negative, and so clamped to 0,
+    on any part of [a, b].  Each piece [lo, hi] between sign changes on
+    which p is positive adds c0 ln(hi/lo) + sum_j c_j (hi^j - lo^j) / j.
+    A result that is not finite raises ValueError.
+    """
+    total, clamped = 0.0, False
+    try:
+        a, b = float(a), float(b)
+        if not 0.0 < a < b < math.inf:
+            raise ValueError(f"integrate requires 0 < a < b < inf, got ({a}, {b})")
+        edges = [a, *_sign_changes(coeffs, a, b), b]
+        for lo, hi in zip(edges, edges[1:]):
+            if horner(coeffs, lo + 0.5 * (hi - lo)) < 0.0:
+                clamped = True
+                continue
+            total += coeffs[0] * math.log(hi / lo)
+            for j, c in enumerate(coeffs[1:], start=1):
+                total += c * (hi ** j - lo ** j) / j
+    except OverflowError:  # float() and float ** raise where * and / give inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("integral of max(p(x), 0)/x over the interval is not finite")
+    return total, clamped

@@ -125,6 +125,7 @@ def test_usage_errors_exit_1(argv):
      "lambda_collapse"),
     (["rate", "--atoms", "1e20", "--na", "32", "--energy", "-1"], "energy"),
     (["efficiency", "--material", "Ge crystal", "--energy", "-1"], "energy"),
+    (["efficiency", "--material", "Ge crystal", "--energy", "nan"], "energy"),
     (["regime", "--system", "x.json", "--energy", "inf"], "photon energy"),
     (["rate", "--atoms", "1e20", "--na", "0"], "atomic number"),
 ], ids=["limit-z_c", "limit-credibility", "limit-r_c-zero", "limit-a",
@@ -132,7 +133,7 @@ def test_usage_errors_exit_1(argv):
         "limit-credibility-nan", "rate-atoms-inf", "limit-z_b",
         "exclusion-r_c_min", "exclusion-r_c_max", "shape-n_points",
         "rate-collapse_rate", "rate-energy", "efficiency-energy",
-        "regime-energy", "rate-na"])
+        "efficiency-energy-nan", "regime-energy", "rate-na"])
 def test_out_of_range_numbers_exit_1(argv, quantity, capsys, tmp_path):
     argv = [str(GE_INVENTORY) if a == "ge.json"
             else proton_system(tmp_path, (0, 0, 0), (1e-12, 0, 0)) if a == "x.json"
@@ -163,13 +164,18 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     huge_window = json.loads(GE_INVENTORY.read_text())
     huge_window["window_kev"][0] = 10 ** 400
     huge_window = write_json(tmp_path, "huge_window.json", huge_window)
+    # a window whose efficiency integral overflows float64
+    wide_window = json.loads(GE_INVENTORY.read_text())
+    wide_window["window_kev"] = [1000.0, 1e300]
+    wide_window = write_json(tmp_path, "wide_window.json", wide_window)
     for argv, field in ((["rate", "--system", system], "charge_e"),
                         (["regime", "--system", system], "charge_e"),
                         (["shape", "--inventory", inventory], "atoms_per_kg"),
                         (["rate", "--system", huge_charge], "charge_e"),
                         (["regime", "--system", huge_position], "position_m"),
                         (["signal", "--inventory", huge_atoms], "atoms_per_kg"),
-                        (["shape", "--inventory", huge_window], "window_kev")):
+                        (["shape", "--inventory", huge_window], "window_kev"),
+                        (["signal", "--inventory", wide_window], "not finite")):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -501,6 +507,26 @@ def test_shape_clamp_warning_keeps_csv_clean(tmp_path):
     assert lines[0] == "energy_kev,density_per_kev"
     for row in lines[1:]:
         assert CSV_ROW.match(row), row
+
+
+def test_signal_clamp_warns_once_per_material(tmp_path):
+    # Pb shield's fit is negative below ~150 keV; Ge crystal's is not
+    payload = json.loads(GE_INVENTORY.read_text())
+    payload["window_kev"] = [50.0, 3800.0]
+    payload["materials"].append({
+        "name": "Pb shield", "n_protons": 82, "atoms_per_kg": 2.9e24,
+        "mass_kg": 1.0, "live_time_s": 1e6,
+        "efficiency_coeffs": [-5.76e-4, 3.812e-6, -2.728e-9, 9.036e-13,
+                              -1.477e-16, 9.60e-21],
+    })
+    path = write_json(tmp_path, "pb_ge.json", payload)
+    result = run_module("signal", "--inventory", path)
+    assert result.returncode == 0
+    warned = [line for line in result.stderr.splitlines()
+              if "EfficiencyClampWarning" in line]
+    assert len(warned) == 1
+    assert "'Pb shield'" in warned[0]
+    assert "Pb shield" in result.stdout and "Ge crystal" in result.stdout
 
 
 # --- NumPy stays unloaded where no array is built (subprocess) -------------

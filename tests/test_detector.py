@@ -1,8 +1,9 @@
 """Detector-folding tests.
 
 Polynomial evaluation is checked against np.polyval; the window integral
-behind the signal constant is checked against a dense trapezoid oracle
-and against closed forms for flat efficiency.
+behind the signal constant is checked against a dense trapezoid oracle,
+against mpmath.quad of the pointwise density, and against closed forms
+for flat efficiency.
 """
 
 import json
@@ -10,11 +11,13 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cslrad import detector
 from cslrad.detector import (
     PAPER_TABLE_1,
     EfficiencyClampWarning,
@@ -31,7 +34,6 @@ from cslrad.detector import (
     signal_shape,
 )
 from cslrad.domain import EnergyWindow
-from cslrad.specfun import QuadratureSpec, integrate
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -126,6 +128,9 @@ def test_eval_efficiency_rejects_nonpositive_energy():
     poly = EfficiencyPoly((0.5,))
     for bad in (0.0, -10.0):
         with pytest.raises(ValueError):
+            eval_efficiency(poly, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energy must be finite"):
             eval_efficiency(poly, bad)
 
 
@@ -285,10 +290,50 @@ def test_compute_a_empty_inventory():
 
 def test_compute_a_consistent_with_density_integral():
     model = SignalModel((ge_material(),), WINDOW)
-    integral = integrate(lambda e: signal_density(model, 1.0, e),
-                         WINDOW.e_min, WINDOW.e_max,
-                         QuadratureSpec(rel_tol=1e-10))
-    assert compute_a(model) == pytest.approx(integral, rel=1e-9)
+    integral = mpmath.quad(lambda e: signal_density(model, 1.0, float(e)),
+                           [WINDOW.e_min, WINDOW.e_max])
+    assert compute_a(model) == pytest.approx(float(integral), rel=1e-12)
+
+
+def test_compute_a_warns_once_per_clamped_material():
+    model = table1_model(EnergyWindow(50.0, 3800.0))
+    with pytest.warns(EfficiencyClampWarning) as caught:
+        compute_a(model)
+    messages = [str(w.message) for w in caught]
+    named = [name for name in PAPER_TABLE_1 if any(f"'{name}'" in m for m in messages)]
+    grid = np.linspace(50.0, 3800.0, 375_001)
+    negative = [name for name, poly in PAPER_TABLE_1.items()
+                if np.polyval(poly.coeffs[::-1], grid).min() < 0.0]
+    assert len(messages) == len(named) == len(negative)
+    assert set(named) == set(negative)
+    assert "Pb shield" in named
+    assert all("clamped" in m for m in messages)
+
+
+def test_compute_a_in_window_is_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compute_a(table1_model())
+
+
+def test_compute_a_calls_no_eval_efficiency(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_efficiency(*args)
+
+    monkeypatch.setattr(detector, "eval_efficiency", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EfficiencyClampWarning)
+        compute_a(table1_model(EnergyWindow(50.0, 3800.0)))
+    assert calls == []
+
+
+def test_compute_a_rejects_a_window_past_float64():
+    model = SignalModel((ge_material(),), EnergyWindow(1000.0, 1e300))
+    with pytest.raises(ValueError, match="not finite"):
+        compute_a(model)
 
 
 # --- signal shape -----------------------------------------------------------

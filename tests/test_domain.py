@@ -14,6 +14,7 @@ from cslrad.domain import (
     NoiseParams,
     Particle,
     ParticleSystem,
+    format_value,
     kev_to_joule,
     particle_system_from_json,
     wavelength_from_energy,
@@ -163,10 +164,31 @@ def test_particle_system_json_round_trip():
                  "particle 0: mass_kg is too large", id="huge-mass_kg"),
     pytest.param(f'[{{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,{10 ** 400},0]}}]',
                  "particle 0: position_m is too large", id="huge-position_m"),
+    # JSON strings and booleans are no numbers, though float() takes them
+    ('[{"charge_e": "1.5", "mass_kg": true, "position_m": ["0", 0, false]}]',
+     r"particle 0: wrong type str \(charge_e\)"),
+    ('[{"charge_e": 1, "mass_kg": true, "position_m": [0,0,0]}]',
+     r"particle 0: wrong type bool \(mass_kg\)"),
+    ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": ["0",0,0]}]',
+     r"particle 0: wrong type str \(position_m\)"),
+    ('[{"charge_e": 1, "mass_kg": 1e-27, "position_m": [0,0,false]}]',
+     r"particle 0: wrong type bool \(position_m\)"),
+    ('[{"charge_e": true, "mass_kg": 1e-27, "position_m": [0,0,0]}]',
+     r"particle 0: wrong type bool \(charge_e\)"),
 ])
 def test_particle_system_json_errors_name_the_problem(payload, fragment):
     with pytest.raises(ValueError, match=fragment):
         particle_system_from_json(payload)
+
+
+@pytest.mark.parametrize("value, text", [
+    (12345, "12345"), (-10 ** 17 + 1, repr(-10 ** 17 + 1)), (2.5, "2.5"),
+    (10 ** 200, "an integer near 1e+200"), (-10 ** 17, "an integer near -1e+17"),
+    (10 ** 400, "an integer above the float64 range"),
+    pytest.param(-10 ** 5000, "an integer below the float64 range", id="-10**5000"),
+])
+def test_format_value_spells_out_no_long_int(value, text):
+    assert format_value(value) == text
 
 
 def test_energy_window():

@@ -31,7 +31,7 @@ from cslrad.limits import (
     upper_limit_lambda,
     write_exclusion_csv,
 )
-from cslrad.specfun import QuadratureSpec, integrate, reg_lower_gamma
+from cslrad.specfun import reg_lower_gamma
 
 REFERENCE = CountingExperiment(z_c=576, z_b=506)
 
@@ -109,9 +109,8 @@ def test_posterior_pdf_normalized(z_c):
     sigma = math.sqrt(mean)
     lo = max(0.0, mean - 25.0 * sigma)
     hi = mean + 25.0 * sigma
-    total = integrate(lambda lam: posterior_pdf(exp, lam), lo, hi,
-                      QuadratureSpec(rel_tol=1e-11))
-    assert total == pytest.approx(1.0, abs=1e-9)
+    total = mpmath.quad(lambda lam: posterior_pdf(exp, float(lam)), [lo, mean, hi])
+    assert float(total) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_posterior_pdf_rejects_negative():
@@ -240,6 +239,10 @@ def test_limit_rejects_bad_r_c():
                            match="correlation length r_c must be finite") as err:
             upper_limit_lambda(REFERENCE, bad)
         assert len(str(err.value)) < 100  # a huge int is not spelled out
+    # a long int within float64 that overflows lambda_max
+    with pytest.raises(ValueError, match="lambda_max is not finite at r_c") as err:
+        upper_limit_lambda(REFERENCE, 10 ** 200)
+    assert len(str(err.value)) < 100
 
 
 @given(st.floats(min_value=1e-9, max_value=1e-3))

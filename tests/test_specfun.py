@@ -4,7 +4,7 @@ Oracles used here are independent of the implementation under test:
 ``math.lgamma`` (C library) for log-gamma, ``mpmath`` at elevated
 precision for the incomplete gamma function, the exact Poisson-tail
 identity P(k+1, x) = 1 - sum_{j<=k} e^(-x) x^j / j!, and closed-form
-antiderivatives for the quadrature.
+antiderivatives and ``mpmath.quad`` for the clamped polynomial integral.
 """
 
 import math
@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cslrad.detector import PAPER_TABLE_1
 from cslrad.specfun import (
     ConvergenceError,
-    QuadratureError,
-    QuadratureSpec,
     gamma_quantile,
     integrate,
     ln_gamma,
@@ -224,81 +223,92 @@ def test_quantile_rejects_bad_arguments():
 
 
 # --- integrate --------------------------------------------------------------
+# integrate(coeffs, a, b) is the exact integral of max(p(x), 0)/x, with
+# p(x) = sum_j coeffs[j] x^j; these tests divide the wanted integrand by x.
 
 def test_integrate_polynomial():
-    assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0,
-                                                                 rel=1e-12)
-
-
-def test_integrate_sine():
-    assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
+    # p(x) = x^3, so the integrand is x^2
+    got, clamped = integrate((0.0, 0.0, 0.0, 1.0), 0.5, 1.0)
+    assert got == pytest.approx((1.0 - 0.125) / 3.0, rel=1e-15)
+    assert not clamped
 
 
 def test_integrate_reciprocal_window():
     # the 1/E integral behind the signal constant
-    got = integrate(lambda e: 1.0 / e, 1000.0, 3800.0)
-    assert got == pytest.approx(math.log(3.8), rel=1e-10)
-
-
-def test_integrate_sqrt_kink():
-    got = integrate(math.sqrt, 0.0, 1.0)
-    assert got == pytest.approx(2.0 / 3.0, rel=1e-8)
+    got, clamped = integrate((1.0,), 1000.0, 3800.0)
+    assert got == pytest.approx(math.log(3.8), rel=1e-15)
+    assert not clamped
 
 
 @given(st.lists(st.floats(min_value=-10.0, max_value=10.0),
                 min_size=1, max_size=5),
-       st.floats(min_value=-5.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=2.0),
        st.floats(min_value=0.1, max_value=8.0))
 def test_integrate_matches_antiderivative(coeffs, a, width):
+    # p(x) = x * q(x) with q >= 1 on [a, b], so nothing is clamped and the
+    # integrand is q, whose antiderivative is exact
     b = a + width
-
-    def poly(x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+    shift = 1.0 + sum(abs(c) * max(1.0, b) ** j for j, c in enumerate(coeffs))
+    q = [coeffs[0] + shift, *coeffs[1:]]
 
     def antideriv(x):
-        acc = 0.0
-        for j, c in enumerate(coeffs):
-            acc += c * x ** (j + 1) / (j + 1)
-        return acc
+        return sum(c * x ** (j + 1) / (j + 1) for j, c in enumerate(q))
 
     want = antideriv(b) - antideriv(a)
-    got = integrate(poly, a, b)
-    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    got, clamped = integrate((0.0, *q), a, b)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert not clamped
 
 
-def test_integrate_depth_exhaustion_carries_best_estimate():
-    # integrable endpoint-free singularity at an irrational-ish interior
-    # point defeats a 10-level budget but the estimate stays usable
-    c = 1.0 / 3.0
+def _clamped_oracle(coeffs, a, b):
+    """mpmath.quad of max(p, 0)/x, split at p's real roots in (a, b)."""
+    with mp.workdps(50):
+        c = [mp.mpf(x) for x in reversed(coeffs)]
+        roots = sorted(r.real for r in mp.polyroots(c, maxsteps=200, extraprec=200)
+                       if abs(r.imag) < mp.mpf(10) ** -30 and a < r.real < b)
+        edges = [mp.mpf(a), *roots, mp.mpf(b)]
+        total = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            if mp.polyval(c, (lo + hi) / 2) > 0:
+                total += mp.quad(lambda x: mp.polyval(c, x) / x, [lo, hi])
+        return float(total), len(edges) > 2 or mp.polyval(c, (a + b) / 2) < 0
 
-    def spike(x):
-        return 1.0 / math.sqrt(abs(x - c)) if x != c else 0.0
 
-    exact = 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))
-    with pytest.raises(QuadratureError) as err:
-        integrate(spike, 0.0, 1.0, QuadratureSpec(rel_tol=1e-12, max_depth=10))
-    best = err.value.best_estimate
-    assert math.isfinite(best)
-    assert best == pytest.approx(exact, rel=0.1)
+@pytest.mark.parametrize("window", [(1000.0, 3800.0), (50.0, 3800.0),
+                                    (100.0, 5000.0), (10.0, 20000.0)])
+@pytest.mark.parametrize("material", sorted(PAPER_TABLE_1))
+def test_integrate_matches_mpmath_on_table_1(material, window):
+    coeffs = PAPER_TABLE_1[material].coeffs
+    got, clamped = integrate(coeffs, *window)
+    want, want_clamped = _clamped_oracle(coeffs, *window)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert clamped == want_clamped
+
+
+def test_integrate_clamps_a_fit_negative_over_the_whole_window():
+    assert integrate((-1.0, 1e-4), 1000.0, 3800.0) == (0.0, True)
+    assert integrate((-1.0, 0.0, -1e-6), 1000.0, 3800.0) == (0.0, True)
+
+
+def test_integrate_clamps_below_a_root():
+    # p(x) = x - 2000 on [1000, 3800]: only [2000, 3800] counts
+    got, clamped = integrate((-2000.0, 1.0), 1000.0, 3800.0)
+    assert got == pytest.approx(1800.0 - 2000.0 * math.log(1.9), rel=1e-14)
+    assert clamped
+
+
+@pytest.mark.parametrize("window", [(1000.0, 1e300), (1e-320, 1.0)])
+def test_integrate_rejects_a_result_that_is_not_finite(window):
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(PAPER_TABLE_1["Ge crystal"].coeffs, *window)
 
 
 def test_integrate_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        integrate(math.sin, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate(math.sin, 2.0, 1.0)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=5)
+    for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                 (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="requires 0 < a < b < inf"):
+            integrate((1.0,), a, b)
 
 
 def test_convergence_error_is_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
-    assert issubclass(QuadratureError, RuntimeError)
