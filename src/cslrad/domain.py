@@ -219,10 +219,10 @@ class EnergyWindow:
     e_max: float
 
     def __post_init__(self):
-        if not 0 < self.e_min < self.e_max < math.inf:
-            raise ValueError(
-                f"need 0 < e_min < e_max < inf, got ({self.e_min}, {self.e_max})"
-            )
+        if not (_is_finite(self.e_min) and _is_finite(self.e_max)
+                and 0 < self.e_min < self.e_max):
+            raise ValueError(f"need 0 < e_min < e_max < inf, got "
+                             f"({format_value(self.e_min)}, {format_value(self.e_max)})")
 
     def contains(self, energy_kev: float) -> bool:
         return self.e_min <= energy_kev <= self.e_max

@@ -1,19 +1,22 @@
 """Self-contained special functions and numerical kernels.
 
 Log-gamma (Lanczos), the regularized lower incomplete gamma function
-P(s, x) (power series below x = s + 1, Lentz continued fraction above,
-both normalized in log space), its quantile in x by a safeguarded
-bracketed root refinement, and the exact integral of max(p(x), 0)/x for
-a polynomial p.
+P(s, x) (compensated power series below x = s + 1, Lentz continued
+fraction above), its quantile in x by bracketed Halley steps in ln x,
+and the exact integral of max(p(x), 0)/x for a polynomial p.
 
-Everything here must stay finite for shape parameters up to ~1e6, so all
-gamma-family evaluations go through logs; nothing ever forms Gamma(s)
-directly.
+Everything here must stay finite for shape parameters up to ~1e6 and
+beyond, so the prefactor x^s e^(-x) / Gamma(s) goes through logs; only
+below s = 30, where its log form loses digits, is Gamma(s) formed
+directly.  Against mpmath the quantile is within 1e-15 of the root for
+s >= 1 and credibilities up to 0.95; past a shape of ~2e10 it converges
+only above the median, where the continued fraction runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 
 class ConvergenceError(RuntimeError):
@@ -94,19 +97,32 @@ def _log_prefactor(s: float, x: float) -> float:
         - _stirling_correction(s)
 
 
+def _prefactor(s: float, x: float) -> float:
+    """x^s e^(-x) / Gamma(s), which is also dP/d(ln x).
+
+    Below s = 30 the log form's absolute error (up to ~5e-15, from the
+    Lanczos ln_gamma) becomes P's relative error; the direct product,
+    while x^s cannot overflow, is good to a few ulps.
+    """
+    if s < _STIRLING_SWITCH and x < 700.0:
+        return x ** s * math.exp(-x) / math.gamma(s)
+    return math.exp(_log_prefactor(s, x))
+
+
 def _lower_series(s: float, x: float) -> float:
     """P(s, x) by power series; preferred for x < s + 1."""
-    if x == 0.0:
-        return 0.0
     term = 1.0 / s
     total = term
+    carry = 0.0  # Kahan compensation: plain sums drift up to ~9 ulps by s ~ 10
     k = s
     for _ in range(_gamma_iteration_budget(s)):
         k += 1.0
         term *= x / k
-        total += term
+        y = term - carry
+        t = total + y
+        carry, total = (t - total) - y, t
         if abs(term) < abs(total) * 1e-17:
-            return math.exp(_log_prefactor(s, x) + math.log(total))
+            return _prefactor(s, x) * total
     raise ConvergenceError(f"incomplete gamma series stalled at s={s}, x={x}")
 
 
@@ -130,7 +146,7 @@ def _upper_continued_fraction(s: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(_log_prefactor(s, x) + math.log(h))
+            return _prefactor(s, x) * h
     raise ConvergenceError(f"incomplete gamma fraction stalled at s={s}, x={x}")
 
 
@@ -201,81 +217,64 @@ _QUANTILE_MAX_ITER = 300
 
 
 def gamma_quantile(s: float, p: float) -> float:
-    """Solve P(s, x) = p for x, bracketed and safeguarded.
+    """Solve P(s, x) = p for x by bracketed Halley steps in t = ln x.
 
-    Starts from a Wilson-Hilferty guess (plus a closed-form lower bound
-    for small shapes, where the root can sit hundreds of decades below
-    the guess), then mixes secant steps with linear or geometric
-    bisection so the bracket never degrades.  Raises ConvergenceError
-    instead of returning a value outside tolerance, including when the
-    root underflows the double range entirely.
+    dP/dt is the prefactor x^s e^(-x) / Gamma(s) and its log-derivative
+    is s - x, so each step costs one incomplete-gamma evaluation and
+    converges cubically: ~3 per solve for s >= 1.  A bracket catches steps
+    that leave it, and the solve stops once it is a few ulps wide.  Raises
+    ConvergenceError instead of returning a value outside tolerance,
+    including when the root underflows the double range entirely.
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"gamma_quantile requires finite s > 0, got {s}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"gamma_quantile requires 0 < p < 1, got {p}")
 
-    guess = max(_wilson_hilferty_guess(s, p), 1e-300)
-    lo, f_lo = 0.0, -p  # P(s, 0) - p
+    x = max(_wilson_hilferty_guess(s, p), 1e-300)
     if s < 1.0:
         # gamma(s, x) <= x^s / s gives the lower bound (p Gamma(s+1))^(1/s);
         # in the small-shape lower tail it equals the root to near machine
-        # precision, and without it bisection cannot cross ~300 decades.
+        # precision.
         log_x0 = (math.log(p) + ln_gamma(s + 1.0)) / s
         if log_x0 <= -740.0:
             raise ConvergenceError(
                 f"quantile for s={s}, p={p} underflows the double range")
-        x0 = math.exp(log_x0)
-        f_x0 = reg_lower_gamma(s, x0) - p
-        if f_x0 <= 0.0:
-            lo, f_lo = x0, f_x0
+        x = min(x, math.exp(log_x0))
+
+    lo, hi = 0.0, math.inf  # hi stays inf until P(s, x) > p has been seen
+    x_best, f_best = x, math.inf
+    for _ in range(_QUANTILE_MAX_ITER):
+        f = reg_lower_gamma(s, x) - p
+        if f == 0.0:
+            return x
+        if abs(f) < abs(f_best):
+            x_best, f_best = x, f
+        if f < 0.0:
+            lo = x
         else:
-            guess = min(guess, x0)
-
-    hi = max(guess, 2.0 * lo)
-    f_hi = reg_lower_gamma(s, hi) - p
-    expansions = 0
-    while f_hi < 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = reg_lower_gamma(s, hi) - p
-        expansions += 1
-        if expansions > 200:
-            raise ConvergenceError(f"quantile bracket failed for s={s}, p={p}")
-
-    # Refine until the bracket collapses to a few ulps (not merely until the
-    # residual dips under tol: the root itself should be machine-accurate).
-    x_best, f_best = hi, f_hi
-    if abs(f_lo) < abs(f_best):
-        x_best, f_best = lo, f_lo
-    force_bisect = False
-    width_mark = hi - lo
-    for it in range(_QUANTILE_MAX_ITER):
-        if hi - lo <= 4.0 * math.ulp(hi):
+            hi = x
+        if hi < math.inf and hi - lo <= 4.0 * math.ulp(hi):
+            if hi >= sys.float_info.min:  # below it, ulps are not relative
+                return x_best
             break
-        # Secant proposal from the bracket endpoints, with two safeguards:
-        # forced bisection when two steps failed to halve the bracket, and
-        # geometric midpoints while the bracket still spans many decades.
-        cand = None
-        if not force_bisect and f_hi != f_lo:
-            cand = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < cand < hi:
-                cand = None
-        if cand is None:
-            if lo > 0.0 and hi > 100.0 * lo:
+        # Halley step in ln x; a step under 2 ulps goes 2 ulps past the
+        # root instead, so that the next evaluation closes the bracket.
+        dens = _prefactor(s, x)  # dP/d(ln x)
+        newton = f / dens if dens > 0.0 else math.nan
+        denom = 1.0 - 0.5 * newton * (s - x)
+        step = newton / denom if denom > 0.0 else math.nan
+        cand = x * math.exp(-step) if abs(step) < 700.0 else math.nan
+        if abs(cand - x) < 2.0 * math.ulp(x):
+            cand = x - math.copysign(2.0 * math.ulp(x), f)
+        if not lo < cand < hi:
+            if hi == math.inf:
+                cand = 2.0 * lo
+            elif lo > 0.0 and hi > 100.0 * lo:
                 cand = math.sqrt(lo) * math.sqrt(hi)
             else:
                 cand = 0.5 * (lo + hi)
-        f_cand = reg_lower_gamma(s, cand) - p
-        if abs(f_cand) < abs(f_best):
-            x_best, f_best = cand, f_cand
-        if f_cand <= 0.0:
-            lo, f_lo = cand, f_cand
-        else:
-            hi, f_hi = cand, f_cand
-        if it % 2 == 1:
-            force_bisect = (hi - lo) > 0.5 * width_mark
-            width_mark = hi - lo
+        x = cand
     if abs(f_best) < _QUANTILE_TOL:
         return x_best
     raise ConvergenceError(

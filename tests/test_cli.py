@@ -190,12 +190,13 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["rate", "--atoms", "1e300", "--na", "94", "--r-c", "1e-300"],
     ["rate", "--atoms", "1e20", "--na", str(10 ** 180 + 7)],
     ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
-    # a shape far past the range the count quantile is validated on
-    ["limit", "--z-c", "99999999999999999999999"],
+    # medians of shapes past ~2e10, where the incomplete-gamma series or
+    # fraction near x ~ s outruns its iteration cap
+    ["limit", "--z-c", "99999999999999999999999", "--credibility", "0.5"],
     # 2 r_c^2 underflows to 0 in the pair kernel
     ["rate", "--system", "x.json", "--r-c", "1e-300"],
-    # a shape whose incomplete-gamma series would run ~1e9 terms
-    ["limit", "--z-c", "1000000000000000000", "--z-b", "0"],
+    ["limit", "--z-c", "1000000000000000000", "--z-b", "0",
+     "--credibility", "0.5"],
     # counts that do not fit in a float64
     ["limit", "--z-c", "9" * 401],
     ["limit", "--z-b", "9" * 401],

@@ -200,7 +200,8 @@ def test_energy_window():
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-5.0, 10.0), (10.0, 10.0),
                                     (20.0, 10.0), (10.0, math.inf),
-                                    (math.nan, 10.0), (10.0, math.nan)])
+                                    (math.nan, 10.0), (10.0, math.nan),
+                                    (1000, 10 ** 400)])
 def test_energy_window_validation(lo, hi):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 < e_min < e_max < inf"):
         EnergyWindow(lo, hi)

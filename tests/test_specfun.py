@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cslrad import specfun
 from cslrad.detector import PAPER_TABLE_1
 from cslrad.specfun import (
     ConvergenceError,
@@ -203,12 +204,80 @@ def test_quantile_converges_at_the_iteration_cap():
 
 
 def test_quantile_fails_fast_at_huge_shapes():
-    # at s ~ 1e18 the series near x ~ s needs ~1e9 terms; an uncapped
-    # budget let it run for minutes before raising
+    # at s ~ 1e18 the series or fraction near x ~ s needs ~1e9 terms; an
+    # uncapped budget let it run for minutes before raising
     start = time.monotonic()
     with pytest.raises(ConvergenceError, match="stalled"):
-        gamma_quantile(1e18 + 1.0, 0.95)
+        gamma_quantile(1e18 + 1.0, 0.5)
     assert time.monotonic() - start < 10.0
+
+
+def test_quantile_at_a_huge_shape_in_the_upper_tail():
+    # past s + 1 the continued fraction converges fast even at s ~ 1e18
+    s = 1e18 + 1.0
+    assert gamma_quantile(s, 0.95) == pytest.approx(
+        s + 1.6448536269514722e9, rel=1e-12)
+
+
+def test_quantile_median_at_a_large_shape():
+    # the median of Gamma(s, 1) is s - 1/3 + O(1/s); near it one ulp of x
+    # moves P by ~1e-12, so only a bracket a few ulps wide can stop there
+    start = time.monotonic()
+    q = gamma_quantile(1e10 + 1.0, 0.5)
+    assert time.monotonic() - start < 1.0
+    assert q == pytest.approx(1e10 + 2.0 / 3.0, rel=1e-15)
+
+
+# Shapes from z_c = 0 up to past the Stirling switch and the largest count
+# the acceptance gate checks, and 60 credibilities in [0.01, 0.999].
+_ORACLE_SHAPES = [1.0, 2.0, 5.0, 10.0, 29.0, 30.0, 577.0, 3001.0,
+                  2e5 + 1.0, 1e6 + 1.0]
+_ORACLE_PS = [0.01 + (0.999 - 0.01) * i / 59 for i in range(60)]
+
+
+@pytest.mark.parametrize("s", _ORACLE_SHAPES)
+def test_quantile_matches_mpmath(s):
+    # one mpmath Newton step from x gives the root's relative offset,
+    # (P(s, x) - p) / (x dP/dx), to second order in that offset.  Above
+    # p = 0.95 half an ulp of P is already ~5e-15 of x at s = 1.
+    for p in _ORACLE_PS:
+        x = gamma_quantile(s, p)
+        with mp.workdps(40):  # 30 digits stall mpmath's series at s ~ 1e6
+            S, X = mp.mpf(s), mp.mpf(x)
+            offset = (mp.gammainc(S, 0, X, regularized=True) - mp.mpf(p)) \
+                / (X ** S * mp.exp(-X) / mp.gamma(S))
+        assert abs(float(offset)) <= (1e-15 if p <= 0.95 else 5e-15), (s, p)
+
+
+@pytest.mark.parametrize("s", _ORACLE_SHAPES)
+def test_quantile_takes_few_evaluations(s, monkeypatch):
+    calls = []
+    real = specfun.reg_lower_gamma
+
+    def counted(shape, x):
+        calls.append(x)
+        return real(shape, x)
+
+    monkeypatch.setattr(specfun, "reg_lower_gamma", counted)
+    for p in _ORACLE_PS:
+        calls.clear()
+        gamma_quantile(s, p)
+        assert len(calls) <= 6, (s, p, len(calls))
+
+
+def test_quantile_raises_for_a_root_among_the_subnormals():
+    # the root is ~1.4e-321, where a bracket 4 ulps wide is ~1% of it and
+    # leaves P 1.3e-7 off p
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        gamma_quantile(0.0011132060721644414, 0.4396355234312943)
+
+
+@pytest.mark.parametrize("stuck", [0.25, 0.75])
+def test_quantile_raises_where_p_is_never_reached(stuck, monkeypatch):
+    # P pinned below or above p: no value may come back
+    monkeypatch.setattr(specfun, "reg_lower_gamma", lambda s, x: stuck)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        gamma_quantile(577.0, 0.5)
 
 
 def test_quantile_rejects_bad_arguments():
