@@ -1,16 +1,21 @@
 """Self-contained special functions and numerical kernels.
 
 Log-gamma (Lanczos), the regularized lower incomplete gamma function
-P(s, x) (compensated power series below x = s + 1, Lentz continued
-fraction above), its quantile in x by bracketed Halley steps in ln x,
-and the exact integral of max(p(x), 0)/x for a polynomial p.
+P(s, x), its quantile in x by bracketed Halley steps in ln x, and the
+exact integral of max(p(x), 0)/x for a polynomial p, whose sign changes
+are found by bracketed Newton steps.
+
+P(s, x) comes from Temme's uniform asymptotic expansion for s >= 100 and
+|x - s| < 0.3 s, and elsewhere from a compensated power series below
+x = s + 1 and a Lentz continued fraction above; each of these needs at
+most ~100 terms, so P costs O(1) at every shape.
 
 Everything here must stay finite for shape parameters up to ~1e6 and
 beyond, so the prefactor x^s e^(-x) / Gamma(s) goes through logs; only
 below s = 30, where its log form loses digits, is Gamma(s) formed
 directly.  Against mpmath the quantile is within 1e-15 of the root for
-s >= 1 and credibilities up to 0.95; past a shape of ~2e10 it converges
-only above the median, where the continued fraction runs.
+s >= 1 and credibilities up to 0.95, and it converges at every shape a
+double holds.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ _LANCZOS_COEFFS = (
 )
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def ln_gamma(s: float) -> float:
@@ -55,16 +61,13 @@ def ln_gamma(s: float) -> float:
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-# The iteration budget stops growing at its value for s = 1e10 + 1.  Uncapped
-# it reaches ~1.2e10 at s = 1e18, where the series near x ~ s would need ~1e9
-# terms, so a call ran for minutes before raising; capped, it raises after
-# ~1.2e6 iterations.
-_MAX_GAMMA_ITERATIONS = 1_200_500
-
-
-def _gamma_iteration_budget(s: float) -> int:
-    # Series/continued-fraction term counts grow like sqrt(s) near x ~ s.
-    return min(max(500, int(12.0 * math.sqrt(s)) + 500), _MAX_GAMMA_ITERATIONS)
+# Term budget of the power series and the continued fraction.  Outside
+# Temme's region they never come near it.  Measured over shapes 1e-3 to 1e18
+# and x from 1e-3 s to 1e3 s: from s = 100 up, the series takes at most 107
+# terms (at x = 0.7 s) and the fraction at most 26 (near x = 1.3 s; it is
+# skipped where its prefactor underflows); below s = 100, either takes at
+# most 100.  Running out raises the "stalled" ConvergenceError.
+_MAX_GAMMA_TERMS = 1000
 
 
 # Stirling series for ln Gamma(s) - (s - 1/2) ln s + s - ln sqrt(2 pi),
@@ -115,7 +118,7 @@ def _lower_series(s: float, x: float) -> float:
     total = term
     carry = 0.0  # Kahan compensation: plain sums drift up to ~9 ulps by s ~ 10
     k = s
-    for _ in range(_gamma_iteration_budget(s)):
+    for _ in range(_MAX_GAMMA_TERMS):
         k += 1.0
         term *= x / k
         y = term - carry
@@ -128,12 +131,17 @@ def _lower_series(s: float, x: float) -> float:
 
 def _upper_continued_fraction(s: float, x: float) -> float:
     """Q(s, x) = 1 - P(s, x) by modified Lentz; preferred for x >= s + 1."""
+    prefactor = _prefactor(s, x)
+    if prefactor == 0.0:
+        # Q underflows whatever the fraction, which from s ~ 1e16 up can
+        # take millions of terms to settle where x is several times s.
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / (b if b != 0.0 else tiny)
     h = d
-    for i in range(1, _gamma_iteration_budget(s)):
+    for i in range(1, _MAX_GAMMA_TERMS):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -146,19 +154,111 @@ def _upper_continued_fraction(s: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return _prefactor(s, x) * h
+            return prefactor * h
     raise ConvergenceError(f"incomplete gamma fraction stalled at s={s}, x={x}")
 
 
+# Temme's uniform asymptotic expansion (DLMF 8.12; DiDonato & Morris 1986,
+# ACM TOMS 12, 377) takes over from the series and the continued fraction
+# where both need ~sqrt(s) terms: shapes from _TEMME_MIN_SHAPE up, and
+# |x - s| < _TEMME_MAX_OFFSET * s, where |eta| <= 0.34.
+_TEMME_MIN_SHAPE = 100.0
+_TEMME_MAX_OFFSET = 0.3
+
+# d[k][n], the Taylor coefficients of c_k(eta) = sum_n d[k][n] eta^n
+# (DLMF 8.12.12), from the recurrence of DLMF 8.12.13,
+# d[k][n] = (n + 2) d[k-1][n+2] - d[k-1][1] d[0][n], with d[0][n] the series
+# of 1/(lambda - 1) - 1/eta.  They were computed in exact rational arithmetic
+# and rounded to the nearest double; at 50 digits the expansion they give
+# matches mpmath's incomplete gamma to its truncation error.  A row stops
+# where its next terms, d[k][n] 0.34^n / 100^k, fall below 1e-18.
+_TEMME_D = (
+    # c_0
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+     -2.5514193994946248e-11, -5.830772132550426e-11),
+    # c_1
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09),
+    # c_2
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08),
+    # c_3
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07),
+    # c_4
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06),
+    # c_5
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+     -1.3594048189768693e-05),
+    # c_6
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+     7.902353232660328e-07, -8.153969367561969e-05),
+    # c_7
+    (0.00034436760689237765,),
+)
+
+
+# 2 / (2m + 3) for m = 0..10: with |t| <= 0.177 in Temme's region, the first
+# term left out is below 1e-18 of the exponent.
+_LOG1P_TAIL = (2 / 3, 2 / 5, 2 / 7, 2 / 9, 2 / 11, 2 / 13, 2 / 15, 2 / 17,
+               2 / 19, 2 / 21, 2 / 23)
+
+
+def _temme(s: float, x: float) -> tuple[float, float]:
+    """(P(s, x), Q(s, x)) by Temme's expansion, for s >= 100 and |x - s| < 0.3 s.
+
+    Q = erfc(y)/2 + R and P = erfc(-y)/2 - R, with y = eta sqrt(s/2),
+    R = e^(-y^2) sum_k c_k(eta) s^(-k) / sqrt(2 pi s), and
+    y^2 = s (sigma - log1p(sigma)) for sigma = (x - s)/s.  That exponent is
+    formed from d = x - s (exact here) and t = d/(x + s), as
+    t (d - s t^2 sum_m 2 t^(2m) / (2m + 3)), so it keeps its digits where
+    sigma - log1p(sigma) would cancel.
+    """
+    d = x - s
+    t = (0.5 * d) / (0.5 * x + 0.5 * s)  # = d / (x + s), finite for every s
+    t2 = t * t
+    exponent = t * (d - s * t2 * horner(_LOG1P_TAIL, t2))
+    y = math.copysign(math.sqrt(exponent), d)
+    eta = y * math.sqrt(2.0 / s)
+    r = 1.0 / s
+    total = 0.0
+    for row in reversed(_TEMME_D):
+        total = total * r + horner(row, eta)
+    tail = math.exp(-exponent) * total / (_SQRT_TWO_PI * math.sqrt(s))
+    return 0.5 * math.erfc(-y) - tail, 0.5 * math.erfc(y) + tail
+
+
 def reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x), monotone in x, in [0, 1]."""
+    """Regularized lower incomplete gamma P(s, x), monotone in x, in [0, 1].
+
+    Temme's expansion runs for s >= 100 and |x - s| < 0.3 s, where the
+    other two would need ~sqrt(s) terms; elsewhere the power series runs
+    below x = s + 1 and the continued fraction for Q = 1 - P above.
+    """
     if not 0.0 < s < math.inf:
         raise ValueError(f"reg_lower_gamma requires finite s > 0, got {s}")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"reg_lower_gamma requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    if x < s + 1.0:
+    if s >= _TEMME_MIN_SHAPE and abs(x - s) < _TEMME_MAX_OFFSET * s:
+        p = _temme(s, x)[0]
+    elif x < s + 1.0:
         p = _lower_series(s, x)
     else:
         p = 1.0 - _upper_continued_fraction(s, x)
@@ -197,9 +297,13 @@ def normal_quantile(p: float) -> float:
         q = math.sqrt(-2.0 * math.log1p(-p))
         x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley refinement against the exact CDF.
+    # One Halley refinement against the exact CDF, wherever exp(x^2 / 2) is
+    # finite; past |x| ~ 37.7 (p below ~1e-310) the approximation stands.
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    try:
+        u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    except OverflowError:
+        return x
     return x - u / (1.0 + 0.5 * x * u)
 
 
@@ -290,16 +394,30 @@ def horner(coeffs, x: float) -> float:
     return acc
 
 
-def _bisect(coeffs, lo: float, hi: float, lo_negative: bool) -> float:
-    """The one sign change of a polynomial monotone on [lo, hi], to adjacent floats."""
+def _bisect(coeffs, slope, lo: float, hi: float, lo_negative: bool) -> float:
+    """The one sign change of a polynomial monotone on [lo, hi], to adjacent floats.
+
+    Bracketed Newton steps, with slope the derivative's coefficients.  A
+    step that leaves the bracket falls back to its midpoint, and a step under
+    2 ulps goes 2 ulps past the root instead, so that the next evaluation
+    closes the bracket.  Returns hi once lo and hi are adjacent floats.
+    """
+    x = lo + 0.5 * (hi - lo)
     while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return hi
-        if (horner(coeffs, mid) < 0.0) == lo_negative:
-            lo = mid
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:
+                return hi
+        value = horner(coeffs, x)
+        if (value < 0.0) == lo_negative:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        dvalue = horner(slope, x)
+        step = value / dvalue if dvalue != 0.0 else math.nan
+        if abs(step) < 2.0 * math.ulp(x):
+            step = 2.0 * math.ulp(x) if x == hi else -2.0 * math.ulp(x)
+        x -= step
 
 
 def _sign_changes(coeffs, lo: float, hi: float) -> list[float]:
@@ -317,7 +435,7 @@ def _sign_changes(coeffs, lo: float, hi: float) -> list[float]:
     for left, right in zip(edges, edges[1:]):
         negative = horner(coeffs, left) < 0.0
         if (horner(coeffs, right) < 0.0) != negative:
-            roots.append(_bisect(coeffs, left, right, negative))
+            roots.append(_bisect(coeffs, slope, left, right, negative))
     return roots
 
 

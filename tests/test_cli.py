@@ -8,7 +8,10 @@ writes itself from `[project.scripts]` in pyproject.toml the way an
 installer would, so the suite needs no prior install.
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import stat
@@ -20,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cslrad import cli, detector, emission, limits
 from cslrad.cli import main
@@ -190,19 +195,14 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["rate", "--atoms", "1e300", "--na", "94", "--r-c", "1e-300"],
     ["rate", "--atoms", "1e20", "--na", str(10 ** 180 + 7)],
     ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
-    # medians of shapes past ~2e10, where the incomplete-gamma series or
-    # fraction near x ~ s outruns its iteration cap
-    ["limit", "--z-c", "99999999999999999999999", "--credibility", "0.5"],
     # 2 r_c^2 underflows to 0 in the pair kernel
     ["rate", "--system", "x.json", "--r-c", "1e-300"],
-    ["limit", "--z-c", "1000000000000000000", "--z-b", "0",
-     "--credibility", "0.5"],
     # counts that do not fit in a float64
     ["limit", "--z-c", "9" * 401],
     ["limit", "--z-b", "9" * 401],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
-        "efficiency", "limit-z_c", "rate-system-r_c", "limit-z_c-1e18",
-        "limit-z_c-401-digits", "limit-z_b-401-digits"])
+        "efficiency", "rate-system-r_c", "limit-z_c-401-digits",
+        "limit-z_b-401-digits"])
 def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     if "--system" in argv:
         argv = list(argv)
@@ -214,6 +214,48 @@ def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cslrad: error: ")
+
+
+# Medians of shapes past ~2e10, where the incomplete-gamma series or fraction
+# near x ~ s once outran its term budget; the median is s - 1/3 + O(1/s).
+@pytest.mark.parametrize("argv", [
+    ["limit", "--z-c", "99999999999999999999999", "--credibility", "0.5"],
+    ["limit", "--z-c", "1000000000000000000", "--z-b", "0",
+     "--credibility", "0.5"],
+], ids=["limit-z_c", "limit-z_c-1e18"])
+def test_huge_count_medians_exit_0(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    shape = float(int(argv[2])) + 1.0
+    assert report_value(out, "count quantile") == f"{shape - 1.0 / 3.0:.3e}"
+    assert math.isfinite(float(report_value(out, "lambda_max")))
+
+
+_COUNTS = st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 12),
+                    st.integers(0, 10 ** 300))
+
+
+@given(_COUNTS, _COUNTS,
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+def test_limit_over_every_count_exits_cleanly(z_c, z_b, credibility):
+    # exit 0, or 2 where the signal quota is not positive, with a finite
+    # count quantile; or exit 1 with the CLI's error line.  Never NaN or inf.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["limit", "--z-c", str(z_c), "--z-b", str(z_b),
+                     "--credibility", repr(credibility)])
+    out, err = out.getvalue(), err.getvalue()
+    assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    if code == 1:
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("cslrad: error: ")
+        return
+    assert code in (0, 2), (code, err)
+    assert math.isfinite(float(report_value(out, "count quantile")))
+    if code == 0:
+        assert math.isfinite(float(report_value(out, "lambda_max")))
 
 
 def test_convergence_failure_exits_1(monkeypatch, capsys):

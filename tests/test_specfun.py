@@ -12,11 +12,17 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cslrad import specfun
-from cslrad.detector import PAPER_TABLE_1
+from cslrad.detector import (
+    PAPER_TABLE_1,
+    MaterialComponent,
+    SignalModel,
+    compute_a,
+)
+from cslrad.domain import EnergyWindow
 from cslrad.specfun import (
     ConvergenceError,
     gamma_quantile,
@@ -123,6 +129,88 @@ def test_p_rejects_bad_arguments():
             reg_lower_gamma(2.0, bad)
 
 
+# --- Temme's expansion -----------------------------------------------------
+
+_S0 = specfun._TEMME_MIN_SHAPE
+
+
+def _mp_p_and_q(s, x):
+    """P and Q at 40 digits, each from the form mpmath sums reliably there."""
+    with mp.workdps(40):
+        S, X = mp.mpf(s), mp.mpf(x)
+        if x < s:
+            p = mp.gammainc(S, 0, X, regularized=True)
+            return float(p), float(1 - p)
+        q = mp.gammainc(S, X, mp.inf, regularized=True)
+        return float(1 - q), float(q)
+
+
+@pytest.mark.parametrize("s", [_S0 - 1.0, _S0, 577.0, 3001.0, 1e6 + 1.0])
+@pytest.mark.parametrize("ratio", [0.71, 0.9, 1.0, 1.1, 1.29])
+def test_p_and_q_match_mpmath_around_temmes_region(s, ratio):
+    # the relative error grows like the exponent s (sigma - log1p(sigma)),
+    # up to ~160 on this grid, times a few ulps; past ~745 both underflow
+    x = s * ratio
+    want_p, want_q = _mp_p_and_q(s, x)
+    p = reg_lower_gamma(s, x)
+    assert p == pytest.approx(want_p, rel=2e-14)
+    assert 1.0 - p == pytest.approx(want_q, rel=2e-14, abs=2.3e-16)
+    if s >= _S0:
+        temme_p, temme_q = specfun._temme(s, x)
+        assert temme_p == p
+        assert temme_q == pytest.approx(want_q, rel=2e-14)
+
+
+@pytest.mark.parametrize("s", [_S0, 577.0, 3001.0])
+def test_temme_meets_the_series_and_the_fraction_at_its_edges(s):
+    # by s ~ 1e4 the series' own log prefactor is off by ~1e-13 at 0.7 s,
+    # where P ~ 1e-247 and Temme's expansion is within 3e-15 of mpmath
+    below, above = 0.7 * s, 1.3 * s
+    assert specfun._temme(s, below)[0] == pytest.approx(
+        specfun._lower_series(s, below), rel=1e-13)
+    assert specfun._temme(s, above)[1] == pytest.approx(
+        specfun._upper_continued_fraction(s, above), rel=1e-13)
+
+
+@pytest.mark.parametrize("ratio", [0.71, 0.9, 1.0, 1.01, 1.1, 1.29])
+def test_temme_meets_the_series_and_the_fraction_at_its_smallest_shape(ratio):
+    # the same x on both sides of the shape edge, through the kernels that
+    # run just below it
+    x = _S0 * ratio
+    p, q = specfun._temme(_S0, x)
+    if x < _S0 + 1.0:
+        assert p == pytest.approx(specfun._lower_series(_S0, x), rel=1e-13)
+    else:
+        assert q == pytest.approx(specfun._upper_continued_fraction(_S0, x),
+                                  rel=1e-13)
+
+
+def test_temme_coefficients_are_dlmf_8_12_12():
+    from fractions import Fraction as F
+    d = specfun._TEMME_D
+    want = {(0, 0): F(-1, 3), (0, 1): F(1, 12), (0, 2): F(-2, 135),
+            (0, 3): F(1, 864), (0, 4): F(1, 2835), (0, 5): F(-139, 777600),
+            (1, 0): F(-1, 540), (1, 1): F(-1, 288), (2, 0): F(25, 6048)}
+    for (k, n), value in want.items():
+        assert d[k][n] == float(value), (k, n)
+
+
+def test_series_and_fraction_budget_raises_stalled(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_GAMMA_TERMS", 5)
+    with pytest.raises(ConvergenceError, match="series stalled"):
+        reg_lower_gamma(50.0, 45.0)
+    with pytest.raises(ConvergenceError, match="fraction stalled"):
+        reg_lower_gamma(50.0, 55.0)
+
+
+def test_fraction_skipped_where_q_underflows():
+    # at s ~ 1e18 and x several times s the fraction took millions of terms
+    # to settle on a Q that underflows to 0 anyway
+    start = time.monotonic()
+    assert reg_lower_gamma(1e18, 1.19e19) == 1.0
+    assert time.monotonic() - start < 0.01
+
+
 # --- normal_quantile --------------------------------------------------------
 
 def test_normal_quantile_known_points():
@@ -143,6 +231,12 @@ def test_normal_quantile_round_trip(p):
 def test_normal_quantile_antisymmetric(p):
     assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p),
                                                rel=1e-9, abs=1e-12)
+
+
+def test_normal_quantile_at_the_smallest_double():
+    # its Halley refinement's exp(x^2 / 2) overflows past |x| ~ 37.7
+    x = normal_quantile(5e-324)
+    assert -38.5 < x < -38.4
 
 
 def test_normal_quantile_domain():
@@ -196,7 +290,8 @@ def test_quantile_large_shape_stays_finite():
 
 
 def test_quantile_converges_at_the_iteration_cap():
-    # s = 1e10 + 1 is the largest shape with its full sqrt(s) budget
+    # s = 1e10 + 1 was the largest shape whose series and fraction had a
+    # sqrt(s) term budget; Temme's expansion now covers it in O(1) terms
     s = 1e10 + 1.0
     q = gamma_quantile(s, 0.95)
     assert q == pytest.approx(s + 1.6448536269514722 * 1e5, rel=1e-9)
@@ -204,12 +299,13 @@ def test_quantile_converges_at_the_iteration_cap():
 
 
 def test_quantile_fails_fast_at_huge_shapes():
-    # at s ~ 1e18 the series or fraction near x ~ s needs ~1e9 terms; an
-    # uncapped budget let it run for minutes before raising
+    # at s ~ 1e18 the series or fraction near x ~ s would need ~1e9 terms;
+    # Temme's expansion gives the median, s - 1/3 + O(1/s), in a few steps
+    s = 1e18 + 1.0
     start = time.monotonic()
-    with pytest.raises(ConvergenceError, match="stalled"):
-        gamma_quantile(1e18 + 1.0, 0.5)
-    assert time.monotonic() - start < 10.0
+    q = gamma_quantile(s, 0.5)
+    assert time.monotonic() - start < 0.01
+    assert q == pytest.approx(s - 1.0 / 3.0, rel=1e-15)
 
 
 def test_quantile_at_a_huge_shape_in_the_upper_tail():
@@ -352,6 +448,69 @@ def test_integrate_matches_mpmath_on_table_1(material, window):
     want, want_clamped = _clamped_oracle(coeffs, *window)
     assert got == pytest.approx(want, rel=1e-13)
     assert clamped == want_clamped
+
+
+def _expand(roots, quadratic=None):
+    """Ascending coefficients of prod (x - r), times x^2 - 2 m x + m^2 + q^2."""
+    coeffs = [1.0]
+    factors = [(-r, 1.0) for r in roots]
+    if quadratic is not None:
+        m, q = quadratic
+        factors.append((m * m + q * q, -2.0 * m, 1.0))
+    for factor in factors:
+        out = [0.0] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                out[i + j] += c * f
+        coeffs = out
+    return coeffs
+
+
+@given(st.lists(st.floats(min_value=0.02, max_value=0.98), min_size=1,
+                max_size=6, unique=True),
+       st.floats(min_value=0.1, max_value=100.0),
+       st.floats(min_value=1.0, max_value=9.0),
+       st.sampled_from([1.0, -1e-3, 1e4]),
+       st.one_of(st.none(), st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                      st.floats(min_value=0.05, max_value=1.0))))
+def test_sign_changes_find_every_planted_root(fractions, a, stretch, scale,
+                                              quadratic):
+    # simple roots at least 5% of [a, b] apart, with b >= 2a so that the
+    # power basis stays well conditioned; an optional factor without real
+    # roots adds monotone pieces that hold no sign change
+    fractions = sorted(fractions)
+    assume(all(v - u >= 0.05 for u, v in zip(fractions, fractions[1:])))
+    assume(quadratic is None or len(fractions) <= 4)
+    b = a * (1.0 + stretch)
+    planted = [a + (b - a) * u for u in fractions]
+    if quadratic is not None:
+        quadratic = (a + (b - a) * quadratic[0], (b - a) * quadratic[1])
+    coeffs = [scale * c for c in _expand(planted, quadratic)]
+    found = specfun._sign_changes(coeffs, a, b)
+    assert len(found) == len(planted)
+    for root, want in zip(found, planted):
+        assert root == pytest.approx(want, abs=1e-6 * b)
+        below = math.nextafter(root, -math.inf)
+        assert (specfun.horner(coeffs, below) < 0.0) != \
+            (specfun.horner(coeffs, root) < 0.0)
+
+
+def test_sign_changes_take_few_horner_calls(monkeypatch):
+    # bisecting every root to adjacent floats took 533 calls here
+    calls = []
+    real = specfun.horner
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return real(coeffs, x)
+
+    monkeypatch.setattr(specfun, "horner", counted)
+    materials = tuple(
+        MaterialComponent(name=name, n_protons=1, atoms_per_kg=1.0, mass=1.0,
+                          live_time=1.0, efficiency=fit)
+        for name, fit in PAPER_TABLE_1.items())
+    compute_a(SignalModel(materials, EnergyWindow(1000.0, 3800.0)))
+    assert 0 < len(calls) <= 250
 
 
 def test_integrate_clamps_a_fit_negative_over_the_whole_window():
