@@ -50,8 +50,8 @@ ELECTRON_VALIDITY_MAX_KEV = 100.0
 # the asymptotic "much smaller / much larger" regimes.
 REGIME_THRESHOLD = 0.01
 
-# Series switchover for the removable singularities at b = 0.
-_SINC_SERIES_CUTOFF = 1e-4
+# Series switchover for the angular integrals' removable singularities at
+# b = 0, where their closed forms cancel.
 _ANGULAR_SERIES_CUTOFF = 1e-2
 
 # Elements per block of the pair kernel.  A block's float64 temporaries
@@ -108,11 +108,15 @@ class EmissionRegime:
 
 
 def coherence_factor(b: float) -> float:
-    """sin(b)/b with the removable singularity at b = 0 handled by series."""
+    """sin(b)/b, and 1 at the removable singularity b = 0.
+
+    The quotient needs no series near 0: against mpmath on [1e-12, 1e-4]
+    it stays within 1.5 ulps of the sinc, and below b ~ 2e-8 sin(b)
+    is b and the quotient exactly 1.
+    """
     check_finite_nonnegative(b, "coherence_factor argument b")
-    if b < _SINC_SERIES_CUTOFF:
-        b2 = b * b
-        return 1.0 - b2 / 6.0 + b2 * b2 / 120.0
+    if b == 0.0:
+        return 1.0
     return math.sin(b) / b
 
 
@@ -169,15 +173,10 @@ def _pair_d2_blocks(positions: np.ndarray):
 
 
 def _sinc_array(b: np.ndarray) -> np.ndarray:
-    """coherence_factor over an array, with the same series branch."""
+    """coherence_factor over an array: sin(b)/b, and 1 where b == 0."""
     import numpy as np
 
-    small = b < _SINC_SERIES_CUTOFF
-    out = np.sin(b)
-    np.divide(out, b, out=out, where=~small)
-    b2 = b[small] ** 2
-    out[small] = 1.0 - b2 / 6.0 + b2 * b2 / 120.0
-    return out
+    return np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
 
 
 def _pair_weight(x: np.ndarray, d2: np.ndarray, k: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Self-contained special functions and numerical kernels.
 
-Log-gamma (Lanczos), the regularized lower incomplete gamma function
-P(s, x), its quantile in x by bracketed Halley steps in ln x, and the
-exact integral of max(p(x), 0)/x for a polynomial p, whose sign changes
-are found by bracketed Newton steps.
+Log-gamma (the C library's, with inf where it overflows), the
+regularized lower incomplete gamma function P(s, x), its quantile in x by
+bracketed Halley steps in ln x, the normal quantile that starts them, and
+the exact integral of max(p(x), 0)/x for a polynomial p, whose sign
+changes are found by bracketed Newton steps.
 
 P(s, x) comes from Temme's uniform asymptotic expansion for s >= 100 and
 |x - s| < 0.3 s, and elsewhere from a compensated power series below
@@ -28,37 +29,17 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients (~1e-15 relative).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def ln_gamma(s: float) -> float:
-    """Natural log of Gamma(s) for finite s > 0."""
+    """Natural log of Gamma(s) for finite s > 0; inf past s ~ 2.5e305."""
     if not 0.0 < s < math.inf:
         raise ValueError(f"ln_gamma requires finite s > 0, got {s}")
-    if s < 0.5:
-        # Recurrence keeps the Lanczos kernel in its accurate region.
-        return ln_gamma(s + 1.0) - math.log(s)
-    z = s - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    try:
+        return math.lgamma(s)
+    except OverflowError:
+        return math.inf
 
 
 # Term budget of the power series and the continued fraction.  Outside
@@ -82,38 +63,36 @@ def _stirling_correction(s: float) -> float:
         - r * r2 * r2 * r2 / 1680.0
 
 
-def _log_prefactor(s: float, x: float) -> float:
-    """ln(x^s e^(-x) / Gamma(s)) without large-argument cancellation.
-
-    The naive three-term form loses ~s*eps absolute accuracy in the log
-    (catastrophic by s ~ 1e6); rewriting against the Stirling expansion
-    keeps the error at the 1e-13 level for x in the probable region.
-    """
-    if s < _STIRLING_SWITCH or not 0.5 * s < x < 2.0 * s:
-        # Far from x ~ s the three-term form is accurate enough (or the
-        # result underflows to 0/1 regardless), and log1p(u) would be
-        # ill-defined for x << s.
-        return s * math.log(x) - x - ln_gamma(s)
-    u = (x - s) / s
-    shape_term = s * (math.log1p(u) - u)  # s ln(x/s) + s - x, cancellation-free
-    return shape_term + 0.5 * math.log(s / (2.0 * math.pi)) \
-        - _stirling_correction(s)
-
-
 def _prefactor(s: float, x: float) -> float:
     """x^s e^(-x) / Gamma(s), which is also dP/d(ln x).
 
-    Below s = 30 the log form's absolute error (up to ~5e-15, from the
-    Lanczos ln_gamma) becomes P's relative error; the direct product,
-    while x^s cannot overflow, is good to a few ulps.
+    Below s = 30 the direct product, while x^s cannot overflow, is good to
+    a few ulps, where the log form's absolute error would become P's
+    relative error.  From s = 30 up the log goes against the Stirling
+    expansion, leaving only the shape term s ln(x/s) + s - x, through
+    log1p near x ~ s; the three-term form s ln x - x - ln Gamma(s) loses
+    ~s*eps to cancellation and past s ~ 1e305 gives inf - inf.
     """
-    if s < _STIRLING_SWITCH and x < 700.0:
-        return x ** s * math.exp(-x) / math.gamma(s)
-    return math.exp(_log_prefactor(s, x))
+    if s < _STIRLING_SWITCH:
+        if x < 700.0:
+            return x ** s * math.exp(-x) / math.gamma(s)
+        return math.exp(s * math.log(x) - x - ln_gamma(s))
+    if 0.5 * s < x < 2.0 * s:
+        u = (x - s) / s
+        shape_term = s * (math.log1p(u) - u)
+    else:
+        shape_term = s * (math.log(x) - math.log(s)) + (s - x)
+    return math.exp(shape_term + 0.5 * math.log(s / (2.0 * math.pi))
+                    - _stirling_correction(s))
 
 
 def _lower_series(s: float, x: float) -> float:
     """P(s, x) by power series; preferred for x < s + 1."""
+    prefactor = _prefactor(s, x)
+    if prefactor == 0.0:
+        # P underflows whatever the series, whose stopping test itself
+        # underflows to 0 from s ~ 4e306 up.
+        return 0.0
     term = 1.0 / s
     total = term
     carry = 0.0  # Kahan compensation: plain sums drift up to ~9 ulps by s ~ 10
@@ -125,7 +104,7 @@ def _lower_series(s: float, x: float) -> float:
         t = total + y
         carry, total = (t - total) - y, t
         if abs(term) < abs(total) * 1e-17:
-            return _prefactor(s, x) * total
+            return prefactor * total
     raise ConvergenceError(f"incomplete gamma series stalled at s={s}, x={x}")
 
 
@@ -139,7 +118,7 @@ def _upper_continued_fraction(s: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
-    d = 1.0 / (b if b != 0.0 else tiny)
+    d = 1.0 / b
     h = d
     for i in range(1, _MAX_GAMMA_TERMS):
         an = -i * (i - s)
@@ -262,20 +241,25 @@ def reg_lower_gamma(s: float, x: float) -> float:
         p = _lower_series(s, x)
     else:
         p = 1.0 - _upper_continued_fraction(s, x)
+    if math.isnan(p):  # min and max below would pass it off as 0
+        raise ConvergenceError(f"incomplete gamma is NaN at s={s}, x={x}")
     # Roundoff guard only; the kernels cannot legitimately leave [0, 1].
     return min(1.0, max(0.0, p))
 
 
 # Acklam's rational approximation to the standard normal quantile,
-# polished with one Halley step (good to machine precision).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
+# polished with one Halley step: good to machine precision below p = 0.5,
+# but not near p = 1, where the CDF it is refined against rounds (2e-12
+# relative at p = 1 - 1e-6).  Coefficients lowest degree first, for
+# horner; each denominator ends in its leading 1.
+_ACKLAM_A = (2.506628277459239e+00, -3.066479806614716e+01, 1.383577518672690e+02,
+             -2.759285104469687e+02, 2.209460984245205e+02, -3.969683028665376e+01)
+_ACKLAM_B = (1.0, -1.328068155288572e+01, 6.680131188771972e+01,
+             -1.556989798598866e+02, 1.615858368580409e+02, -5.447609879822406e+01)
+_ACKLAM_C = (2.938163982698783e+00, 4.374664141464968e+00, -2.549732539343734e+00,
+             -2.400758277161838e+00, -3.223964580411365e-01, -7.784894002430293e-03)
+_ACKLAM_D = (1.0, 3.754408661907416e+00, 2.445134137142996e+00,
+             3.224671290700398e-01, 7.784695709041462e-03)
 
 
 def normal_quantile(p: float) -> float:
@@ -283,20 +267,15 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires 0 < p < 1, got {p}")
     p_low, p_high = 0.02425, 1.0 - 0.02425
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= p_high:
+    if p_low <= p <= p_high:
         q = p - 0.5
         r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = horner(_ACKLAM_A, r) * q / horner(_ACKLAM_B, r)
+    else:  # the tails, the upper one mirrored onto 1 - p
+        q = math.sqrt(-2.0 * (math.log(p) if p < p_low else math.log1p(-p)))
+        x = horner(_ACKLAM_C, q) / horner(_ACKLAM_D, q)
+        if p > p_high:
+            x = -x
     # One Halley refinement against the exact CDF, wherever exp(x^2 / 2) is
     # finite; past |x| ~ 37.7 (p below ~1e-310) the approximation stands.
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
@@ -315,7 +294,8 @@ def _wilson_hilferty_guess(s: float, p: float) -> float:
     return s * math.exp(z / math.sqrt(s))  # deep lower tail fallback
 
 
-# gamma_quantile's largest accepted residual |P(s, x) - p| and step budget.
+# gamma_quantile's largest accepted residual |P(s, x) - p|, relative to p,
+# where its bracket does not close, and its step budget.
 _QUANTILE_TOL = 1e-12
 _QUANTILE_MAX_ITER = 300
 
@@ -379,7 +359,7 @@ def gamma_quantile(s: float, p: float) -> float:
             else:
                 cand = 0.5 * (lo + hi)
         x = cand
-    if abs(f_best) < _QUANTILE_TOL:
+    if abs(f_best) < _QUANTILE_TOL * p:
         return x_best
     raise ConvergenceError(
         f"gamma_quantile did not converge for s={s}, p={p} (residual {f_best:.3e})"

@@ -258,6 +258,17 @@ def test_limit_over_every_count_exits_cleanly(z_c, z_b, credibility):
         assert math.isfinite(float(report_value(out, "lambda_max")))
 
 
+@pytest.mark.parametrize("z_c", ["0", "1"])
+def test_limit_at_a_credibility_of_1e_300_exits_1(z_c, capsys):
+    # the count quantile's bracket does not close there, and its best x,
+    # 1.594e-276 for a root of 1e-300 at z_c = 0, is no quantile to print
+    assert main(["limit", "--z-c", z_c, "--credibility", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cslrad: error: gamma_quantile did not "
+                                   "converge")
+
+
 def test_convergence_failure_exits_1(monkeypatch, capsys):
     def stalled(shape, q):
         raise ConvergenceError(f"quantile stalled at s={shape}")

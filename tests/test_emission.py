@@ -24,6 +24,7 @@ from cslrad.emission import (
     RegimeKind,
     ValidityWarning,
     _PAIR_CUTOFF_X,
+    _sinc_array,
     atomic_amplification,
     classify_regime,
     coherence_factor,
@@ -69,9 +70,18 @@ def test_coherence_factor_is_sinc(b):
 
 @given(st.floats(min_value=1e-12, max_value=9.99e-5))
 def test_coherence_factor_series_region(b):
-    # series against mpmath sinc, both ~1 here
+    # the plain quotient against mpmath sinc near 0, where both are ~1
     want = float(mp.sin(mp.mpf(b)) / mp.mpf(b))
     assert coherence_factor(b) == pytest.approx(want, rel=1e-15)
+
+
+def test_sinc_array_is_the_scalar_sinc():
+    # the pair kernel's array sinc, bit for bit, from 0 through the
+    # subnormals and the region near 0 up to large arguments
+    b = np.array([0.0, 5e-324, 1e-300, *np.geomspace(1e-12, 1e-4, 81),
+                  1.0, math.pi, 1e6])
+    want = np.array([coherence_factor(float(v)) for v in b])
+    assert _sinc_array(b).tobytes() == want.tobytes()
 
 
 def test_coherence_factor_rejects_negative():

@@ -1,13 +1,14 @@
 """Oracle-backed tests for the special-function kernels.
 
 Oracles used here are independent of the implementation under test:
-``math.lgamma`` (C library) for log-gamma, ``mpmath`` at elevated
-precision for the incomplete gamma function, the exact Poisson-tail
+``mpmath`` at elevated precision for log-gamma, the normal quantile and
+the incomplete gamma function, the exact Poisson-tail
 identity P(k+1, x) = 1 - sum_{j<=k} e^(-x) x^j / j!, and closed-form
 antiderivatives and ``mpmath.quad`` for the clamped polynomial integral.
 """
 
 import math
+import sys
 import time
 
 import mpmath as mp
@@ -40,7 +41,16 @@ mp.mp.dps = 30
 @pytest.mark.parametrize("s", [1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 10.0,
                                576.0, 577.0, 1e4, 1e6, 1.000001e6])
 def test_ln_gamma_matches_clib(s):
-    assert ln_gamma(s) == pytest.approx(math.lgamma(s), rel=1e-14, abs=1e-13)
+    # ln_gamma is the C library's lgamma; mpmath is the oracle
+    want = float(mp.loggamma(mp.mpf(s)))
+    assert ln_gamma(s) == pytest.approx(want, rel=1e-14, abs=1e-13)
+
+
+def test_ln_gamma_is_inf_where_lgamma_overflows():
+    # math.lgamma raises OverflowError past s ~ 2.5e305
+    assert ln_gamma(2.5e305) == pytest.approx(1.7555118602376454e308, rel=1e-14)
+    assert ln_gamma(2.6e305) == math.inf
+    assert ln_gamma(1e308) == math.inf
 
 
 def test_ln_gamma_factorials():
@@ -211,6 +221,40 @@ def test_fraction_skipped_where_q_underflows():
     assert time.monotonic() - start < 0.01
 
 
+@pytest.mark.parametrize("s, x, want", [
+    # far above the median, where s ln x - x - ln Gamma(s) is inf - inf
+    (1e306, 1e307, 1.0), (2.6e305, 1e306, 1.0),
+    # below the median, past s ~ 4e306, where the series' stopping test
+    # underflows, and one shape short of that
+    (1e307, 1e306, 0.0), (1.7e308, 8.5e307, 0.0), (1e307, 1e304, 0.0),
+    (1e292, 1e291, 0.0),
+])
+def test_p_at_the_largest_shapes(s, x, want):
+    assert reg_lower_gamma(s, x) == want
+
+
+@pytest.mark.parametrize("s, ratio", [
+    # every pair whose P, ~e^(s (ln ratio + 1 - ratio)), is a normal double
+    (s, r) for s in (30.0, 100.0, 577.0, 1000.5, 2341.9)
+    for r in (0.021, 0.1, 0.3, 0.43, 0.49)
+    if s * (math.log(r) + 1.0 - r) > -650.0
+])
+def test_p_below_half_the_shape_matches_mpmath(s, ratio):
+    # the prefactor's exponent s (ln x - ln s) + s - x carries ~eps s of
+    # rounding, which becomes P's relative error; the three-term form
+    # s ln x - x - ln Gamma(s) added ln Gamma's own error on top
+    x = s * ratio
+    want, _ = _mp_p_and_q(s, x)
+    assert reg_lower_gamma(s, x) == pytest.approx(
+        want, rel=8.0 * sys.float_info.epsilon * s)
+
+
+def test_p_raises_rather_than_clamp_nan(monkeypatch):
+    monkeypatch.setattr(specfun, "_lower_series", lambda s, x: math.nan)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        reg_lower_gamma(2.0, 1.0)
+
+
 # --- normal_quantile --------------------------------------------------------
 
 def test_normal_quantile_known_points():
@@ -237,6 +281,35 @@ def test_normal_quantile_at_the_smallest_double():
     # its Halley refinement's exp(x^2 / 2) overflows past |x| ~ 37.7
     x = normal_quantile(5e-324)
     assert -38.5 < x < -38.4
+
+
+# Golden values of Acklam's approximation plus its Halley step, so that a
+# slip in the coefficient tables shows even where it stays within tolerance.
+@pytest.mark.parametrize("p, z", [
+    (5e-324, -38.46740568497968),
+    (1e-300, -37.0470962993612),
+    (1e-10, -6.361340902404057),
+    (0.02, -2.0537489106318234),
+    (0.02425, -1.972961051311885),
+    (0.3, -0.5244005127080408),
+    (0.5, 0.0),
+    (0.7, 0.5244005127080409),
+    (0.97575, 1.972961051311885),
+    (0.98, 2.0537489106318225),
+    (1.0 - 1e-10, 6.361340886788448),
+])
+def test_normal_quantile_golden_values(p, z):
+    assert normal_quantile(p) == z
+
+
+@pytest.mark.parametrize("p", [0.5 * 10.0 ** (-300 * i / 39) for i in range(40)]
+                         + [0.02, 0.02425, 0.1, 0.3, 0.49, 0.4999])
+def test_normal_quantile_lower_half_matches_mpmath(p):
+    # the root of ncdf at 40 digits; erfinv loses digits below p ~ 1e-40
+    z = normal_quantile(p)
+    with mp.workdps(40):
+        want = float(mp.findroot(lambda t: mp.ncdf(t) - mp.mpf(p), mp.mpf(z)))
+    assert abs(z - want) <= 1e-13 * max(abs(want), 1e-3)
 
 
 def test_normal_quantile_domain():
@@ -366,6 +439,23 @@ def test_quantile_raises_for_a_root_among_the_subnormals():
     # leaves P 1.3e-7 off p
     with pytest.raises(ConvergenceError, match="did not converge"):
         gamma_quantile(0.0011132060721644414, 0.4396355234312943)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 5.0])
+def test_quantile_raises_where_its_residual_is_not_small_against_p(s):
+    # at p = 1e-300 the bracket does not close in its step budget; the best
+    # x, 1.6e-276 for a root of 1e-300 at s = 1, is within 1e-12 of p only
+    # in absolute terms
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        gamma_quantile(s, 1e-300)
+
+
+@pytest.mark.parametrize("s, p", [(1.0, 1e-30), (1.0, 1e-100), (5.0, 1e-100)])
+def test_quantile_at_tiny_credibilities(s, p):
+    # P(s, x) = x^s / Gamma(s + 1) (1 + O(x)), so the root is
+    # (p Gamma(s + 1))^(1/s) to far below an ulp here
+    want = (p * math.gamma(s + 1.0)) ** (1.0 / s)
+    assert gamma_quantile(s, p) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("stuck", [0.25, 0.75])
