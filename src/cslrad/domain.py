@@ -6,7 +6,9 @@ Conventions used across the package:
   formula is SI (J, m, s, kg, C),
 * charges are stored as multiples of the elementary charge and converted
   on demand, so neutral systems sum to exactly zero,
-* all types are immutable values and all operations are pure.
+* all types are immutable values and all operations are pure; a value
+  may keep what was derived from it (a system its pair-separation
+  extremes), which never changes a result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Input checks shared by every module, so that each quantity is judged in
 # one place.  Each raises ValueError naming the quantity.
@@ -169,6 +171,11 @@ class ParticleSystem:
     """An ordered, non-empty collection of point charges."""
 
     particles: tuple[Particle, ...]
+    # The largest and smallest squared separation over the distinct pairs,
+    # as "max" and "min"; filled by the first pair walk of emission to
+    # see every pair.
+    _d2_extremes: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))

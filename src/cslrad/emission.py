@@ -142,25 +142,30 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
     return f_total, f_z
 
 
-def _positions(system: ParticleSystem) -> np.ndarray:
-    import numpy as np
-
-    return np.array([p.position for p in system.particles], dtype=float)
-
-
-def _pair_d2_blocks(positions: np.ndarray):
-    """Yield (start, d2) row blocks of squared pair separations.
+def _pair_d2_blocks(system: ParticleSystem):
+    """Yield (start, d2, d2_max) row blocks of squared pair separations.
 
     d2[r, c] = |x_(start+r) - x_(start+c)|^2 for the rows start..start+R
     against the columns start..N-1, at most _PAIR_BLOCK_ELEMENTS entries
-    per block.  Every unordered pair i < j lies in the block holding row
-    i: twice (as ij and ji) in the block's leading R x R square, once in
-    the columns beyond it.  The square's diagonal holds the self-pairs.
+    per block, and d2_max = d2.max().  Every unordered pair i < j lies in
+    the block holding row i: twice (as ij and ji) in the block's leading
+    R x R square, once in the columns beyond it.  The square's diagonal
+    holds the self-pairs.
 
     Differences are taken per axis before squaring, so tiny separations
     keep their relative precision.
+
+    A caller must be done with a block when it asks for the next: the
+    walk then overwrites the block's diagonal to find its smallest
+    off-diagonal entry.  A walk run to its end keeps the largest and
+    smallest squared separation of the distinct pairs on the system, as
+    _d2_extremes["max"] and ["min"]; a walk left early keeps nothing.
     """
+    import numpy as np
+
+    positions = np.array([p.position for p in system.particles], dtype=float)
     n = len(positions)
+    max_d2, min_d2 = 0.0, math.inf
     start = 0
     while start < n:
         rows = positions[start:start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start))]
@@ -168,8 +173,13 @@ def _pair_d2_blocks(positions: np.ndarray):
         d2 = (rows[:, 0:1] - cols[:, 0]) ** 2
         d2 += (rows[:, 1:2] - cols[:, 1]) ** 2
         d2 += (rows[:, 2:3] - cols[:, 2]) ** 2
-        yield start, d2
+        d2_max = float(d2.max())
+        yield start, d2, d2_max
+        max_d2 = max(max_d2, d2_max)
+        np.fill_diagonal(d2, math.inf)  # the self-pairs
+        min_d2 = min(min_d2, float(d2.min()))
         start += len(rows)
+    system._d2_extremes.update(max=max_d2, min=min_d2)
 
 
 def _sinc_array(b: np.ndarray) -> np.ndarray:
@@ -263,7 +273,9 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     Uses the closed-form pair correlation of f_ij_point and the sinc
     coherence factor; the diagonal terms reproduce rate_incoherent and the
     zero-separation limit reproduces rate_coherent.  The pairs are summed
-    in row blocks, so memory stays O(N) however large the system.
+    in row blocks, so memory stays O(N) however large the system.  The
+    walk leaves the system holding its separation extremes, so a
+    classify_regime that follows costs no second pass over the pairs.
     """
     import numpy as np
 
@@ -287,19 +299,22 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # their pairs, hence the doubled column charges.
     # Pairs past the cutoff get weight 0.0, which their terms are anyway.
     pair_sum = 0.0
-    for start, d2 in _pair_d2_blocks(_positions(system)):
+    for start, d2, d2_max in _pair_d2_blocks(system):
+        if d2_max == math.inf:  # the cutoff would hide it
+            raise ValueError("pair sum overflows float64")
         rows = len(d2)
         q_cols = 2.0 * charges[start:]
         q_cols[:rows] = charges[start:start + rows]
         x = d2 / two_rc2
-        near = x < _PAIR_CUTOFF_X
-        if near.all():
+        # x.max() is d2_max / two_rc2: dividing by a positive constant
+        # rounds monotonically
+        if d2_max / two_rc2 < _PAIR_CUTOFF_X:
             weight = _pair_weight(x, d2, k)
         else:
-            if np.isinf(d2).any():  # the cutoff would hide it
-                raise ValueError("pair sum overflows float64")
+            # gathered by flat index, in the order a boolean mask gives
+            near = np.flatnonzero(x < _PAIR_CUTOFF_X)
             weight = np.zeros_like(d2)
-            weight[near] = _pair_weight(x[near], d2[near], k)
+            weight.put(near, _pair_weight(x.take(near), d2.take(near), k))
         pair_sum += float(charges[start:start + rows] @ (weight @ q_cols))
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")
@@ -346,20 +361,20 @@ def classify_regime(system: ParticleSystem, noise: NoiseParams,
 
     Advisory only -- rate_general never branches on this.  A single
     particle is coherent by convention (the amplification is identical
-    either way).
+    either way).  The separations come from the extremes the system holds
+    once any pair walk (a rate_general, or an earlier call here) has seen
+    every pair; only a system that holds none is walked here.
     """
-    import numpy as np
-
     wavelength = wavelength_from_energy(energy_kev)
     reduced = wavelength / (2.0 * math.pi)  # the length entering b
     if len(system) < 2:
         return EmissionRegime(RegimeKind.COHERENT, 0.0, 0.0, wavelength, noise.r_c)
 
-    max_d2, min_d2 = 0.0, math.inf
-    for _, d2 in _pair_d2_blocks(_positions(system)):
-        max_d2 = max(max_d2, float(d2.max()))
-        np.fill_diagonal(d2, math.inf)  # the self-pairs
-        min_d2 = min(min_d2, float(d2.min()))
+    extremes = system._d2_extremes
+    if not extremes:
+        for _ in _pair_d2_blocks(system):
+            pass
+    max_d2, min_d2 = extremes["max"], extremes["min"]
     if max_d2 == math.inf:
         raise ValueError("pair separations overflow float64")
     max_sep, min_sep = math.sqrt(max_d2), math.sqrt(min_d2)

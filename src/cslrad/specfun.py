@@ -70,8 +70,10 @@ def _prefactor(s: float, x: float) -> float:
     a few ulps, where the log form's absolute error would become P's
     relative error.  From s = 30 up the log goes against the Stirling
     expansion, leaving only the shape term s ln(x/s) + s - x, through
-    log1p near x ~ s; the three-term form s ln x - x - ln Gamma(s) loses
-    ~s*eps to cancellation and past s ~ 1e305 gives inf - inf.
+    log1p near x ~ s.  Taking the log of the quotient x/s, not ln x - ln s,
+    spares the cancellation of two logs ~ln s in size; the three-term form
+    s ln x - x - ln Gamma(s) loses ~s*eps to cancellation and past
+    s ~ 1e305 gives inf - inf.
     """
     if s < _STIRLING_SWITCH:
         if x < 700.0:
@@ -80,7 +82,9 @@ def _prefactor(s: float, x: float) -> float:
     if 0.5 * s < x < 2.0 * s:
         u = (x - s) / s
         shape_term = s * (math.log1p(u) - u)
-    else:
+    elif x / s >= sys.float_info.min:
+        shape_term = s * math.log(x / s) + (s - x)
+    else:  # x / s is subnormal or 0; ln x - ln s keeps its digits
         shape_term = s * (math.log(x) - math.log(s)) + (s - x)
     return math.exp(shape_term + 0.5 * math.log(s / (2.0 * math.pi))
                     - _stirling_correction(s))

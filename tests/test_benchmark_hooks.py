@@ -3,14 +3,21 @@
 ``perfbench/proc.py``'s ``install_targets`` names each one as
 ``tracer.span(module, "attr", ...)`` or ``tracer.count(module, "attr", ...)``.
 A traced run fails when one of those names is gone, so renaming or
-removing such a function must show here first.
+removing such a function must show here first.  A short traced run of
+each workload checks the rest of what makes ``run.py --trace 1`` exit 3.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-PROC = Path(__file__).resolve().parents[1] / "perfbench" / "proc.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PROC = ROOT / "perfbench" / "proc.py"
 
 
 def tracer_targets():
@@ -36,3 +43,23 @@ def test_install_targets_name_existing_cslrad_attributes():
                if not hasattr(importlib.import_module(f"cslrad.{module}"), attr)]
     assert missing == []
 
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
+    # run.py exits 3 when a per-layer metric has no figure or the run
+    # overruns its budget; a short traced run shows both
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    missing = [m["name"] for m in BENCHMARK["per_layer"]
+               if m["name"] not in result["metrics"]]
+    assert missing == []

@@ -9,7 +9,9 @@ and the polar part is sum_k C_kk (1 - n_k^2) cos(b u) integrated over
 u = cos(theta) with Gauss-Legendre nodes.
 """
 
+import dataclasses
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -554,6 +556,128 @@ def test_pair_kernel_raises_on_overflow_in_a_mixed_block():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValueError, match="overflow"):
             rate_general(system, NOISE, 1000.0)
+        # the failed walk kept nothing, so the regime walks and raises itself
+        assert system._d2_extremes == {}
+        with pytest.raises(ValueError, match="pair separations overflow"):
+            classify_regime(system, NOISE, 1000.0)
+
+
+def _ball_point(rng, radius):
+    while True:
+        v = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        if sum(c * c for c in v) <= 1.0:
+            return tuple(radius * c for c in v)
+
+
+def _pinned_case(name):
+    """(system, noise, energy in keV) of one pinned pair-kernel case.
+
+    Drawn from Python's random, whose seeded stream is stable across
+    versions, so the pinned bits below are the kernel's alone.
+    """
+    rng = random.Random(name)
+    if name == "dense-ball":  # every pair near, sinc arguments ~1
+        r_c, energy = 1e-7, 500.0
+        parts = [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
+                          _ball_point(rng, 3e-13))
+                 for _ in range(60)]
+    elif name == "sparse-clumps":  # a lattice 20 r_c apart: mixed blocks
+        r_c, energy = 1e-8, 50.0
+        sites = rng.sample(range(8 ** 3), 280)
+        parts = [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
+                          tuple(20.0 * r_c * (site // 8 ** a % 8
+                                              + rng.uniform(-0.1, 0.1))
+                                for a in range(3)))
+                 for site in sites]
+        for centre in parts[:4]:
+            parts += [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
+                               tuple(c + o for c, o in zip(
+                                   centre.position, _ball_point(rng, 1.5 * r_c))))
+                      for _ in range(5)]
+    elif name == "neutral":
+        r_c, energy = 1e-7, 100.0
+        parts = [Particle(q, M_NUCLEON,
+                          tuple(rng.uniform(0.0, 2e-12) for _ in range(3)))
+                 for _ in range(40) for q in (1.0, -1.0)]
+    elif name == "single":
+        r_c, energy = 1e-7, 1234.5
+        parts = [Particle(2.0, M_NUCLEON, (1e-9, -2e-9, 3e-9))]
+    elif name == "pair":
+        r_c, energy = 1e-7, 30.0
+        parts = [Particle(1.0, M_NUCLEON),
+                 Particle(-1.0, 9.1093837015e-31, (1e-10, 0.0, 0.0))]
+    else:  # "box-500": several row blocks, spanning ~3 cutoff lengths
+        r_c, energy = 1e-9, 2000.0
+        parts = [Particle(rng.choice((-2.0, -1.0, 1.0, 2.0)), M_NUCLEON,
+                          tuple(rng.uniform(0.0, 100.0 * r_c) for _ in range(3)))
+                 for _ in range(500)]
+    return ParticleSystem(tuple(parts)), NoiseParams(1e-16, r_c), energy
+
+
+# rate_general's value and classify_regime's kind, maximum and minimum
+# separation and wavelength, as float.hex, from the blocked kernel as
+# first written (a boolean-mask cutoff and a regime pass of its own)
+_PINNED_BITS = {
+    "dense-ball": ("0x1.729a80f8cfebbp-124", "MIXED", "0x1.45f1338acd870p-41",
+                   "0x1.021be326ed4f9p-46", "0x1.5cfc07c346cddp-39"),
+    "sparse-clumps": ("0x1.99aeef39f30cfp-111", "INCOHERENT", "0x1.415dd276a44d0p-19",
+                      "0x1.ee2999b048a70p-30", "0x1.b43b09b418814p-36"),
+    "neutral": ("0x1.82a87764dbdc1p-123", "MIXED", "0x1.97331482a4abdp-39",
+                "0x1.243265a431dcep-44", "0x1.b43b09b418814p-37"),
+    "single": ("0x1.21fcc577d5d1bp-128", "COHERENT", "0x0.0p+0", "0x0.0p+0",
+               "0x1.1ab167a62aa18p-40"),
+    "pair": ("0x1.690b2f5082597p-124", "MIXED", "0x1.b7cdfd9d7bdbbp-34",
+             "0x1.b7cdfd9d7bdbbp-34", "0x1.6b868816146bbp-35"),
+    "box-500": ("0x1.111fd00c7d9afp-107", "INCOHERENT", "0x1.59dbe550ad4e0p-23",
+                "0x1.18ef3892a9f34p-29", "0x1.5cfc07c346cddp-41"),
+}
+
+
+@pytest.mark.parametrize("rate_first", [True, False],
+                         ids=["rate-first", "regime-first"])
+@pytest.mark.parametrize("name", sorted(_PINNED_BITS))
+def test_pair_kernel_pinned_bits(name, rate_first):
+    system, noise, energy = _pinned_case(name)
+    if rate_first:
+        rate = rate_general(system, noise, energy)
+        regime = classify_regime(system, noise, energy)
+    else:
+        regime = classify_regime(system, noise, energy)
+        rate = rate_general(system, noise, energy)
+    got = (rate.value.hex(), regime.kind.name, regime.max_separation.hex(),
+           regime.min_separation.hex(), regime.wavelength.hex())
+    assert got == _PINNED_BITS[name]
+    assert regime.r_c == noise.r_c
+
+
+@pytest.mark.parametrize("name", ["dense-ball", "sparse-clumps", "box-500"])
+def test_regime_after_a_rate_is_the_regime_of_a_fresh_system(name):
+    system, noise, energy = _pinned_case(name)
+    rate_general(system, noise, 10.0)
+    assert system._d2_extremes  # the rate's walk saw every pair
+    fresh = ParticleSystem(system.particles)
+    want = classify_regime(fresh, noise, energy)
+    assert classify_regime(system, noise, energy) == want
+    assert classify_regime(system, noise, energy) == want
+
+
+def test_kept_extremes_leave_equality_hash_and_repr_alone():
+    system, noise, _ = _pinned_case("neutral")
+    other = ParticleSystem(system.particles)
+    classify_regime(system, noise, 100.0)
+    assert system._d2_extremes and not other._d2_extremes
+    assert system == other
+    assert hash(system) == hash(other)
+    assert repr(system) == repr(other)
+    assert "_d2_extremes" not in repr(system)
+
+
+def test_a_replaced_system_keeps_no_extremes():
+    system, noise, energy = _pinned_case("pair")
+    rate_general(system, noise, energy)
+    assert dataclasses.replace(system)._d2_extremes == {}
+    moved = dataclasses.replace(system, particles=(proton(), proton(1e-15)))
+    assert classify_regime(moved, noise, energy).max_separation == 1e-15
 
 
 @pytest.mark.parametrize("r_c", [1e-300, 1e-150])

@@ -8,6 +8,7 @@ antiderivatives and ``mpmath.quad`` for the clamped polynomial integral.
 """
 
 import math
+import random
 import sys
 import time
 
@@ -247,6 +248,34 @@ def test_p_below_half_the_shape_matches_mpmath(s, ratio):
     want, _ = _mp_p_and_q(s, x)
     assert reg_lower_gamma(s, x) == pytest.approx(
         want, rel=8.0 * sys.float_info.epsilon * s)
+
+
+def test_p_below_half_the_shape_is_near_its_exponents_floor():
+    # P's relative error is the exponent's absolute error, a few eps |ln P|
+    # when the shape term takes ln(x/s); ln x - ln s, each ~ln s in size,
+    # cancelled to ~16 eps |ln P| on these draws
+    rng = random.Random("below half the shape")
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    draws = 0
+    while draws < 300:
+        s = rng.uniform(30.0, 3000.0)
+        x = s * rng.uniform(0.02, 0.5)
+        want, _ = _mp_p_and_q(s, x)
+        if want < 1e-290:
+            continue
+        draws += 1
+        error = abs(reg_lower_gamma(s, x) - want) / want
+        worst = max(worst, error / (eps * (1.0 - math.log(want))))
+    assert worst <= 5.0
+
+
+@pytest.mark.parametrize("s, x", [
+    # x / s is 0 or subnormal, so the shape term takes ln x - ln s
+    (1e300, 1e-30), (30.0, 5e-324), (1e10, 1e-300), (1e308, 1e-5),
+])
+def test_p_where_x_over_s_underflows(s, x):
+    assert reg_lower_gamma(s, x) == 0.0
 
 
 def test_p_raises_rather_than_clamp_nan(monkeypatch):
