@@ -27,7 +27,6 @@ from .detector import (
     MaterialComponent,
     SignalModel,
     beta_constant,
-    builtin_polynomials,
     compute_a,
     eval_efficiency,
     signal_density,
@@ -88,7 +87,6 @@ __all__ = [
     "ValidityWarning",
     "atomic_amplification",
     "beta_constant",
-    "builtin_polynomials",
     "classify_regime",
     "coherence_factor",
     "compute_a",

@@ -151,7 +151,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    dataset = detector.builtin_polynomials(args.dataset)
+    dataset = detector.PAPER_TABLE_1
     if args.material not in dataset:
         raise ValueError(
             f"unknown material '{args.material}'; valid names: "
@@ -159,7 +159,7 @@ def cmd_efficiency(args) -> int:
     value = detector.eval_efficiency(dataset[args.material], args.energy)
     lines = [
         "detection efficiency",
-        f"  dataset              {args.dataset}",
+        "  dataset              paper-table-1",
         f"  material             {args.material}",
         f"  energy               {args.energy:.3e} keV",
         f"  efficiency           {value:.3e}",
@@ -250,7 +250,6 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_rate)
 
     sub = subs.add_parser("efficiency", help="built-in efficiency polynomial")
-    sub.add_argument("--dataset", default="paper-table-1")
     sub.add_argument("--material", required=True)
     sub.add_argument("--energy", type=float, required=True,
                      help="photon energy in keV")

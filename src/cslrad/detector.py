@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .domain import (CONSTANTS, M_NUCLEON, EnergyWindow, check_count,
-                     check_finite_positive, to_float)
+                     check_finite_nonnegative, check_finite_positive, to_float)
 from .specfun import horner, integrate
 
 
@@ -51,7 +51,8 @@ class EfficiencyPoly:
     uncertainties: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            to_float(c, "efficiency coefficient") for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("efficiency polynomial needs at least one coefficient")
         if not all(math.isfinite(c) for c in self.coeffs):
@@ -60,20 +61,14 @@ class EfficiencyPoly:
             object.__setattr__(self, "uncertainties", tuple(self.uncertainties))
             if len(self.uncertainties) != len(self.coeffs):
                 raise ValueError("uncertainties must match coefficients in length")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def raw_value(self, energy_kev: float) -> float:
-        """Horner evaluation without the non-negativity clamp."""
-        return horner(self.coeffs, energy_kev)
+            for u in self.uncertainties:
+                check_finite_nonnegative(u, "efficiency uncertainty")
 
 
 def eval_efficiency(poly: EfficiencyPoly, energy_kev: float) -> float:
     """Clamped polynomial efficiency; negative fit extrapolations become 0."""
     check_finite_positive(energy_kev, "energy")
-    value = poly.raw_value(energy_kev)
+    value = horner(poly.coeffs, energy_kev)
     if not math.isfinite(value):
         raise ValueError(
             f"efficiency polynomial is not finite ({value}) at {energy_kev} keV")
@@ -111,19 +106,6 @@ PAPER_TABLE_1 = {
         uncertainties=(0.03e-4, 0.003e-6, 0.001e-9, 0.004e-13, 0.001e-16, 0.02e-21),
     ),
 }
-
-BUILTIN_DATASETS = {"paper-table-1": PAPER_TABLE_1}
-
-
-def builtin_polynomials(dataset: str = "paper-table-1") -> dict[str, EfficiencyPoly]:
-    """Look up a built-in efficiency dataset by name."""
-    try:
-        return dict(BUILTIN_DATASETS[dataset])
-    except KeyError:
-        raise ValueError(
-            f"unknown dataset '{dataset}'; available: "
-            + ", ".join(sorted(BUILTIN_DATASETS))
-        ) from None
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 
 
 def _is_finite(value) -> bool:
+    if isinstance(value, bool):  # no number here, as in to_float
+        return False
     try:
         return math.isfinite(value)
-    except OverflowError:  # an int too large for a float64
+    except (OverflowError, TypeError):  # an int too large for a float64, or no number
         return False
 
 
@@ -155,12 +157,13 @@ class Particle:
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not math.isfinite(self.charge_e):
-            raise ValueError(f"charge_e must be finite, got {self.charge_e!r}")
+        if not _is_finite(self.charge_e):
+            raise ValueError(
+                f"charge_e must be finite, got {format_value(self.charge_e)}")
         check_finite_positive(self.mass, "particle mass")
         if len(self.position) != 3:
             raise ValueError("position must be a 3-vector")
-        position = tuple(float(x) for x in self.position)
+        position = tuple(to_float(x, "position") for x in self.position)
         if not all(math.isfinite(x) for x in position):
             raise ValueError(f"position must be finite, got {position!r}")
         object.__setattr__(self, "position", position)

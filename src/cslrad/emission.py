@@ -155,6 +155,9 @@ def _pair_d2_blocks(system: ParticleSystem):
     Differences are taken per axis before squaring, so tiny separations
     keep their relative precision.
 
+    A block holding a d2 that overflows float64 raises ValueError
+    instead of being yielded, so every d2 a caller sees is finite.
+
     A caller must be done with a block when it asks for the next: the
     walk then overwrites the block's diagonal to find its smallest
     off-diagonal entry.  A walk run to its end keeps the largest and
@@ -170,10 +173,13 @@ def _pair_d2_blocks(system: ParticleSystem):
     while start < n:
         rows = positions[start:start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start))]
         cols = positions[start:]
-        d2 = (rows[:, 0:1] - cols[:, 0]) ** 2
-        d2 += (rows[:, 1:2] - cols[:, 1]) ** 2
-        d2 += (rows[:, 2:3] - cols[:, 2]) ** 2
+        with np.errstate(over="ignore"):  # an inf d2 raises below
+            d2 = (rows[:, 0:1] - cols[:, 0]) ** 2
+            d2 += (rows[:, 1:2] - cols[:, 1]) ** 2
+            d2 += (rows[:, 2:3] - cols[:, 2]) ** 2
         d2_max = float(d2.max())
+        if d2_max == math.inf:
+            raise ValueError("pair separations overflow float64")
         yield start, d2, d2_max
         max_d2 = max(max_d2, d2_max)
         np.fill_diagonal(d2, math.inf)  # the self-pairs
@@ -300,8 +306,6 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # Pairs past the cutoff get weight 0.0, which their terms are anyway.
     pair_sum = 0.0
     for start, d2, d2_max in _pair_d2_blocks(system):
-        if d2_max == math.inf:  # the cutoff would hide it
-            raise ValueError("pair sum overflows float64")
         rows = len(d2)
         q_cols = 2.0 * charges[start:]
         q_cols[:rows] = charges[start:start + rows]
@@ -374,10 +378,7 @@ def classify_regime(system: ParticleSystem, noise: NoiseParams,
     if not extremes:
         for _ in _pair_d2_blocks(system):
             pass
-    max_d2, min_d2 = extremes["max"], extremes["min"]
-    if max_d2 == math.inf:
-        raise ValueError("pair separations overflow float64")
-    max_sep, min_sep = math.sqrt(max_d2), math.sqrt(min_d2)
+    max_sep, min_sep = math.sqrt(extremes["max"]), math.sqrt(extremes["min"])
     theta = REGIME_THRESHOLD
     if max_sep < theta * min(reduced, noise.r_c):
         kind = RegimeKind.COHERENT

@@ -103,6 +103,8 @@ def test_limit_without_positive_quota(capsys):
     ["exclusion", "--n-points", "1.5"],
     ["nonsense"],
     [],
+    ["efficiency", "--dataset", "paper-table-1", "--material", "Ge crystal",
+     "--energy", "1000"],
 ])
 def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as err:
@@ -459,12 +461,6 @@ def test_efficiency_unknown_material(capsys):
     assert "Ge crystal" in err  # error lists the valid names
 
 
-def test_efficiency_unknown_dataset(capsys):
-    assert main(["efficiency", "--dataset", "nope", "--material", "Ge crystal",
-                 "--energy", "1000"]) == 1
-    assert "paper-table-1" in capsys.readouterr().err
-
-
 # --- regime -----------------------------------------------------------------
 
 def test_regime_coherent(tmp_path, capsys):
@@ -540,6 +536,16 @@ def test_rate_warning_goes_to_stderr():
     assert "relativistic" in result.stderr
     assert "warning" not in result.stdout.lower()
     assert "dGamma/dE" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["rate", "regime"])
+def test_overflowing_separations_print_only_the_error_line(command, tmp_path):
+    # |d|^2 overflows float64; NumPy's overflow warning must not reach stderr
+    path = proton_system(tmp_path, (0.0, 0.0, 0.0), (2e160, 0.0, 0.0))
+    result = run_module(command, "--system", path)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cslrad: error:"), result.stderr
 
 
 def test_shape_clamp_warning_keeps_csv_clean(tmp_path):

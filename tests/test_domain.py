@@ -86,7 +86,10 @@ def test_noise_params_validation():
 @pytest.mark.parametrize("field", ["lambda_collapse", "r_c", "m0"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf,
                                  pytest.param(10 ** 400, id="huge"),
-                                 pytest.param(10 ** 5000, id="huge-5001-digits")])
+                                 pytest.param(10 ** 5000, id="huge-5001-digits"),
+                                 pytest.param("1e-7", id="text"),
+                                 pytest.param(True, id="bool"),
+                                 pytest.param(None, id="none")])
 def test_noise_params_rejects_non_finite(field, bad):
     kwargs = dict(lambda_collapse=1e-16, r_c=1e-7, m0=M_PROTON)
     kwargs[field] = bad
@@ -112,6 +115,22 @@ def test_particle_validation():
             Particle(charge_e=1.0, mass=bad)
         with pytest.raises(ValueError, match="position"):
             Particle(charge_e=1.0, mass=M_PROTON, position=(0.0, bad, 0.0))
+
+
+@pytest.mark.parametrize("kwargs, quantity", [
+    pytest.param(dict(charge_e=10 ** 400), "charge_e", id="huge-charge"),
+    pytest.param(dict(charge_e="1"), "charge_e", id="text-charge"),
+    pytest.param(dict(charge_e=True), "charge_e", id="bool-charge"),
+    pytest.param(dict(position=(10 ** 400, 0, 0)), "position", id="huge-position"),
+    pytest.param(dict(position=("1", 0, 0)), "position", id="text-position"),
+    pytest.param(dict(position=(0, True, 0)), "position", id="bool-position"),
+    pytest.param(dict(mass="1.6e-27"), "mass", id="text-mass"),
+])
+def test_particle_rejects_non_numbers_by_name(kwargs, quantity):
+    kwargs = dict(dict(charge_e=1.0, mass=M_PROTON), **kwargs)
+    with pytest.raises(ValueError, match=quantity) as err:
+        Particle(**kwargs)
+    assert len(str(err.value)) < 100  # a huge int is not spelled out
 
 
 def test_particle_system_preserves_order_and_rejects_empty():

@@ -539,9 +539,10 @@ def test_general_matches_pair_loop_across_blocks(n, log_scale, energy, neutral,
 
 def test_pair_kernel_raises_on_overflowing_separations():
     # |d|^2 overflows float64 past ~1.3e154 m; no finite answer is reported
+    # and NumPy's overflow warning stays inside the walk
     system = ParticleSystem((proton(1e160), proton(-1e160)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="overflow"):
             rate_general(system, NOISE, 1000.0)
         with pytest.raises(ValueError, match="overflow"):
@@ -553,8 +554,8 @@ def test_pair_kernel_raises_on_overflow_in_a_mixed_block():
     # kernel does evaluate; the cutoff must not turn inf into a 0 weight
     system = ParticleSystem((proton(), proton(1e-12), proton(1e160)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="overflow"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="pair separations overflow"):
             rate_general(system, NOISE, 1000.0)
         # the failed walk kept nothing, so the regime walks and raises itself
         assert system._d2_extremes == {}

@@ -3,8 +3,9 @@
 Oracles used here are independent of the implementation under test:
 ``mpmath`` at elevated precision for log-gamma, the normal quantile and
 the incomplete gamma function, the exact Poisson-tail
-identity P(k+1, x) = 1 - sum_{j<=k} e^(-x) x^j / j!, and closed-form
-antiderivatives and ``mpmath.quad`` for the clamped polynomial integral.
+identity P(k+1, x) = 1 - sum_{j<=k} e^(-x) x^j / j!, ``np.polyval`` for
+Horner evaluation, and closed-form antiderivatives and ``mpmath.quad``
+for the clamped polynomial integral.
 """
 
 import math
@@ -13,6 +14,7 @@ import sys
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -504,6 +506,15 @@ def test_quantile_rejects_bad_arguments():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="requires finite s"):
             gamma_quantile(bad, 0.5)
+
+
+# --- horner -----------------------------------------------------------------
+
+@given(st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=6),
+       st.floats(min_value=1.0, max_value=4000.0))
+def test_horner_matches_polyval(coeffs, x):
+    want = float(np.polyval(coeffs[::-1], x))
+    assert specfun.horner(tuple(coeffs), x) == pytest.approx(want, rel=1e-12, abs=1e-18)
 
 
 # --- integrate --------------------------------------------------------------
