@@ -7,8 +7,8 @@ Conventions used across the package:
 * charges are stored as multiples of the elementary charge and converted
   on demand, so neutral systems sum to exactly zero,
 * all types are immutable values and all operations are pure; a value
-  may keep what was derived from it (a system its pair-separation
-  extremes), which never changes a result.
+  may keep what was derived from it (a system its position and charge
+  arrays and its pair-separation extremes), which never changes a result.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+# NumPy loads when a particle system is built, never on import, so that
+# the CLI subcommands that build no array never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Input checks shared by every module, so that each quantity is judged in
 # one place.  Each raises ValueError naming the quantity.
@@ -171,9 +177,15 @@ class Particle:
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """An ordered, non-empty collection of point charges."""
+    """An ordered, non-empty collection of point charges.
+
+    Construction loads NumPy: the positions and charges are also kept as
+    read-only float64 arrays, (N, 3) and (N,), for the pair kernel.
+    """
 
     particles: tuple[Particle, ...]
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
+    _charges: np.ndarray = field(init=False, repr=False, compare=False)
     # The largest and smallest squared separation over the distinct pairs,
     # as "max" and "min"; filled by the first pair walk of emission to
     # see every pair.
@@ -184,6 +196,13 @@ class ParticleSystem:
         object.__setattr__(self, "particles", tuple(self.particles))
         if not self.particles:
             raise ValueError("particle system must not be empty")
+        import numpy as np
+
+        positions = np.array([p.position for p in self.particles], dtype=float)
+        charges = np.array([p.charge_e for p in self.particles], dtype=float)
+        for name, array in (("_positions", positions), ("_charges", charges)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.particles)

@@ -142,49 +142,78 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
     return f_total, f_z
 
 
-def _pair_d2_blocks(system: ParticleSystem):
-    """Yield (start, d2, d2_max) row blocks of squared pair separations.
+def _near_d2_bound(two_rc2: float) -> float:
+    """The smallest d^2 whose x = d^2 / two_rc2 reaches _PAIR_CUTOFF_X.
+
+    The rounded quotient never falls as d^2 grows, so d^2 below this bound
+    picks exactly the pairs x < _PAIR_CUTOFF_X does, without forming x.
+    """
+    bound = _PAIR_CUTOFF_X * two_rc2
+    while bound / two_rc2 < _PAIR_CUTOFF_X:
+        bound = math.nextafter(bound, math.inf)
+    while (below := math.nextafter(bound, 0.0)) / two_rc2 >= _PAIR_CUTOFF_X:
+        bound = below
+    return bound
+
+
+def _pair_d2_blocks(system: ParticleSystem, near_d2: float = math.inf):
+    """Yield (start, d2, near) row blocks of squared pair separations.
 
     d2[r, c] = |x_(start+r) - x_(start+c)|^2 for the rows start..start+R
     against the columns start..N-1, at most _PAIR_BLOCK_ELEMENTS entries
-    per block, and d2_max = d2.max().  Every unordered pair i < j lies in
-    the block holding row i: twice (as ij and ji) in the block's leading
-    R x R square, once in the columns beyond it.  The square's diagonal
-    holds the self-pairs.
+    per block.  Every unordered pair i < j lies in the block holding row i:
+    twice (as ij and ji) in the block's leading R x R square, once in the
+    columns beyond it.  The square's diagonal holds the self-pairs.
 
-    Differences are taken per axis before squaring, so tiny separations
-    keep their relative precision.
+    A block whose every d2 lies below near_d2 is whole: near is None and
+    the diagonal is 0.  Any other block is mixed: its diagonal is set to
+    inf, and near = (index, values) holds the flat index and d2 of its
+    entries below near_d2, in the order a boolean mask gives.  With the
+    default near_d2 every block is whole.
 
-    A block holding a d2 that overflows float64 raises ValueError
-    instead of being yielded, so every d2 a caller sees is finite.
+    Differences are taken per axis, from one axis-contiguous copy of the
+    positions, before squaring, so tiny separations keep their relative
+    precision.  A block holding a d2 that overflows float64 raises
+    ValueError instead of being yielded, so every d2 a caller sees is
+    finite, except a mixed block's diagonal.
 
-    A caller must be done with a block when it asks for the next: the
-    walk then overwrites the block's diagonal to find its smallest
-    off-diagonal entry.  A walk run to its end keeps the largest and
-    smallest squared separation of the distinct pairs on the system, as
-    _d2_extremes["max"] and ["min"]; a walk left early keeps nothing.
+    A caller must be done with a whole block when it asks for the next:
+    the walk then sets its diagonal to inf and scans it for its smallest
+    off-diagonal entry.  A mixed block's smallest entry is its smallest
+    near value; only a mixed block with no near entry is scanned.  Memory
+    stays O(block) however large the system.  A walk run to its end keeps
+    the largest and smallest squared separation of the distinct pairs on
+    the system, as _d2_extremes["max"] and ["min"]; a walk left early
+    keeps nothing.
     """
     import numpy as np
 
-    positions = np.array([p.position for p in system.particles], dtype=float)
-    n = len(positions)
+    axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
+    n = axes.shape[1]
     max_d2, min_d2 = 0.0, math.inf
     start = 0
     while start < n:
-        rows = positions[start:start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start))]
-        cols = positions[start:]
+        stop = min(n, start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start)))
         with np.errstate(over="ignore"):  # an inf d2 raises below
-            d2 = (rows[:, 0:1] - cols[:, 0]) ** 2
-            d2 += (rows[:, 1:2] - cols[:, 1]) ** 2
-            d2 += (rows[:, 2:3] - cols[:, 2]) ** 2
+            d2 = (axes[0, start:stop, None] - axes[0, start:]) ** 2
+            d2 += (axes[1, start:stop, None] - axes[1, start:]) ** 2
+            d2 += (axes[2, start:stop, None] - axes[2, start:]) ** 2
         d2_max = float(d2.max())
         if d2_max == math.inf:
             raise ValueError("pair separations overflow float64")
-        yield start, d2, d2_max
         max_d2 = max(max_d2, d2_max)
-        np.fill_diagonal(d2, math.inf)  # the self-pairs
-        min_d2 = min(min_d2, float(d2.min()))
-        start += len(rows)
+        diagonal = d2.reshape(-1)[::d2.shape[1] + 1]  # the self-pairs
+        if d2_max < near_d2:
+            yield start, d2, None
+            diagonal[:] = math.inf
+            min_d2 = min(min_d2, float(d2.min()))
+        else:
+            diagonal[:] = math.inf
+            index = np.flatnonzero(d2 < near_d2)
+            values = d2.take(index)
+            min_d2 = min(min_d2, float(values.min() if index.size else d2.min()))
+            yield start, d2, (index, values)
+        start = stop
     system._d2_extremes.update(max=max_d2, min=min_d2)
 
 
@@ -195,14 +224,53 @@ def _sinc_array(b: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
 
 
-def _pair_weight(x: np.ndarray, d2: np.ndarray, k: float) -> np.ndarray:
-    """exp(-x/2) (3 - x) sinc(k |d|) per pair, from x = d^2 / (2 r_c^2) and d^2."""
+def _pair_weight(d2: np.ndarray, two_rc2: float, k: float) -> np.ndarray:
+    """exp(-x/2) (3 - x) sinc(k |d|) per pair, from d^2 and x = d^2 / (2 r_c^2)."""
     import numpy as np
 
+    x = d2 / two_rc2
     weight = np.exp(-0.5 * x)
     weight *= 3.0 - x
     weight *= _sinc_array(k * np.sqrt(d2))
     return weight
+
+
+def _pair_weight_blocks(system: ParticleSystem, two_rc2: float, k: float):
+    """Yield (start, weight) for the blocks of _pair_d2_blocks, in order.
+
+    weight is _pair_weight over the block, 0.0 past the cutoff, where
+    exp(-x/2) underflows to exactly 0 anyway.  The near entries of
+    consecutive mixed blocks go through one _pair_weight call, up to
+    _PAIR_BLOCK_ELEMENTS of them, so memory stays O(block); a weight is
+    the same float however its entries are grouped.  A mixed block's
+    self-pairs get 3.0, _pair_weight's value at d = 0.
+    """
+    import numpy as np
+
+    group = []  # (start, shape, near index, near d2) of consecutive mixed blocks
+
+    def flush():
+        if not group:
+            return
+        weights = _pair_weight(np.concatenate([g[3] for g in group]), two_rc2, k)
+        offset = 0
+        for start, shape, index, values in group:
+            weight = np.zeros(shape)
+            weight.put(index, weights[offset:offset + len(values)])
+            weight.reshape(-1)[::shape[1] + 1] = 3.0
+            offset += len(values)
+            yield start, weight
+        group.clear()
+
+    for start, d2, near in _pair_d2_blocks(system, _near_d2_bound(two_rc2)):
+        if near is None or (sum(len(g[3]) for g in group) + len(near[1])
+                            > _PAIR_BLOCK_ELEMENTS):
+            yield from flush()
+        if near is None:
+            yield start, _pair_weight(d2, two_rc2, k)
+        else:
+            group.append((start, d2.shape, *near))
+    yield from flush()
 
 
 def _angular_t1(b: float) -> float:
@@ -283,16 +351,14 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     walk leaves the system holding its separation extremes, so a
     classify_regime that follows costs no second pass over the pairs.
     """
-    import numpy as np
-
     check_finite_positive(energy_kev, "energy")
     # The closed rates' prefactor, with their r_c guard.  The guard also
-    # stops an underflowed 2 r_c^2, whose x of inf or NaN on every pair the
-    # cutoff below would take for an exact 0.
+    # stops an underflowed 2 r_c^2, with which the cutoff below would drop
+    # every pair as if its weight were an exact 0.
     prefactor = _charge_rate_prefactor(noise)
     k = kev_to_joule(energy_kev) / CONSTANTS.hbar / CONSTANTS.c  # omega / c
     two_rc2 = 2.0 * noise.r_c * noise.r_c
-    charges = np.array([p.charge_e for p in system.particles], dtype=float)
+    charges = system._charges
 
     # sum_ij q_i q_j / (m_i m_j) * f_ij * sinc(b_ij): the masses cancel
     # against f_ij's m_i m_j, leaving exp(-x/2) (3 - x) / (2 r_c^2) with
@@ -303,22 +369,11 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # exactly.
     # Columns past a block's leading square stand for both orders of
     # their pairs, hence the doubled column charges.
-    # Pairs past the cutoff get weight 0.0, which their terms are anyway.
     pair_sum = 0.0
-    for start, d2, d2_max in _pair_d2_blocks(system):
-        rows = len(d2)
+    for start, weight in _pair_weight_blocks(system, two_rc2, k):
+        rows = len(weight)
         q_cols = 2.0 * charges[start:]
         q_cols[:rows] = charges[start:start + rows]
-        x = d2 / two_rc2
-        # x.max() is d2_max / two_rc2: dividing by a positive constant
-        # rounds monotonically
-        if d2_max / two_rc2 < _PAIR_CUTOFF_X:
-            weight = _pair_weight(x, d2, k)
-        else:
-            # gathered by flat index, in the order a boolean mask gives
-            near = np.flatnonzero(x < _PAIR_CUTOFF_X)
-            weight = np.zeros_like(d2)
-            weight.put(near, _pair_weight(x.take(near), d2.take(near), k))
         pair_sum += float(charges[start:start + rows] @ (weight @ q_cols))
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")

@@ -592,11 +592,17 @@ def test_signal_clamp_warns_once_per_material(tmp_path):
 # --- NumPy stays unloaded where no array is built (subprocess) -------------
 
 def test_scalar_subcommands_leave_numpy_unloaded(tmp_path):
+    # a system file with a NaN charge fails as its particles are read,
+    # before the system (which holds arrays) is built
+    bad_system = tmp_path / "nan_charge.json"
+    bad_system.write_text('[{"charge_e": NaN, "mass_kg": 1.67262192369e-27, '
+                          '"position_m": [0, 0, 0]}]')
     calls = [
         ["limit"],
         ["signal", "--inventory", str(GE_INVENTORY)],
         ["efficiency", "--material", "Ge crystal", "--energy", "1000"],
         ["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"],
+        ["rate", "--system", str(bad_system), "--energy", "50"],
         # control: the exclusion curve is an array, so NumPy loads here
         ["exclusion", "--n-points", "8"],
     ]
@@ -618,4 +624,5 @@ def test_scalar_subcommands_leave_numpy_unloaded(tmp_path):
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen == [["import cslrad", 0, False], ["limit", 0, False],
                     ["signal", 0, False], ["efficiency", 0, False],
-                    ["rate", 0, False], ["exclusion", 0, True]]
+                    ["rate", 0, False], ["rate", 1, False],
+                    ["exclusion", 0, True]]

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,6 +143,44 @@ def test_particle_system_preserves_order_and_rejects_empty():
     assert sys2.particles == (a, b)
     with pytest.raises(ValueError):
         ParticleSystem(())
+
+
+def test_particle_system_keeps_read_only_arrays():
+    parts = (Particle(1, M_PROTON, (0, 2e-10, -3e-10)),
+             Particle(-2.5, M_PROTON, (1e-9, 0.0, 4.0)),
+             Particle(0.0, M_PROTON))
+    system = ParticleSystem(parts)
+    positions, charges = system._positions, system._charges
+    assert positions.dtype == charges.dtype == np.float64
+    assert positions.shape == (3, 3) and charges.shape == (3,)
+    assert positions.tolist() == [list(p.position) for p in parts]
+    assert charges.tolist() == [p.charge_e for p in parts]
+    for array in (positions, charges):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
+def test_particle_system_arrays_leave_equality_hash_and_repr_alone():
+    parts = (Particle(1.0, M_PROTON, (0.0, 0.0, 1e-10)), Particle(-1.0, M_PROTON))
+    system, other = ParticleSystem(parts), ParticleSystem(parts)
+    assert system._positions is not other._positions
+    assert system == other and hash(system) == hash(other)
+    assert repr(system) == repr(other)
+    assert "_positions" not in repr(system) and "_charges" not in repr(system)
+    names = {f.name for f in dataclasses.fields(ParticleSystem) if f.compare or f.repr}
+    assert names == {"particles"}
+
+
+def test_replaced_particle_system_builds_new_arrays():
+    system = ParticleSystem((Particle(1.0, M_PROTON), Particle(1.0, M_PROTON, (1.0, 0, 0))))
+    moved = dataclasses.replace(system, particles=(Particle(-3.0, M_PROTON, (0, 0, 2.0)),))
+    assert moved._positions.tolist() == [[0.0, 0.0, 2.0]]
+    assert moved._charges.tolist() == [-3.0]
+    same = dataclasses.replace(system)
+    assert same._positions is not system._positions
+    assert np.array_equal(same._positions, system._positions)
+    assert np.array_equal(same._charges, system._charges)
 
 
 def test_particle_system_json_round_trip():

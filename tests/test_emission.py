@@ -26,6 +26,8 @@ from cslrad.emission import (
     RegimeKind,
     ValidityWarning,
     _PAIR_CUTOFF_X,
+    _near_d2_bound,
+    _pair_d2_blocks,
     _sinc_array,
     atomic_amplification,
     classify_regime,
@@ -607,6 +609,23 @@ def _pinned_case(name):
         r_c, energy = 1e-7, 30.0
         parts = [Particle(1.0, M_NUCLEON),
                  Particle(-1.0, 9.1093837015e-31, (1e-10, 0.0, 0.0))]
+    elif name.startswith("lattice-then-clump"):
+        # 300 lattice charges 20 r_c apart, then a 200-charge clump at the
+        # lattice centre: the walk's first 7 row blocks mix near and cut
+        # pairs, its last 2 (clump against clump) are all near
+        r_c, energy = 1e-8, 50.0
+        sites = rng.sample(range(7 ** 3), 300)
+        parts = [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
+                          tuple(20.0 * r_c * (site // 7 ** a % 7
+                                              + rng.uniform(-0.1, 0.1))
+                                for a in range(3)))
+                 for site in sites]
+        parts += [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
+                           tuple(60.0 * r_c + c for c in _ball_point(rng, 5.0 * r_c)))
+                  for _ in range(200)]
+        if name.endswith("zero-coincident"):  # both in the first, mixed block
+            parts[10] = Particle(0.0, M_NUCLEON, parts[10].position)
+            parts[21] = Particle(parts[21].charge_e, M_NUCLEON, parts[20].position)
     else:  # "box-500": several row blocks, spanning ~3 cutoff lengths
         r_c, energy = 1e-9, 2000.0
         parts = [Particle(rng.choice((-2.0, -1.0, 1.0, 2.0)), M_NUCLEON,
@@ -617,7 +636,11 @@ def _pinned_case(name):
 
 # rate_general's value and classify_regime's kind, maximum and minimum
 # separation and wavelength, as float.hex, from the blocked kernel as
-# first written (a boolean-mask cutoff and a regime pass of its own)
+# first written (a boolean-mask cutoff and a regime pass of its own).
+# The lattice-then-clump walks mix both block kinds; their bits come from
+# the kernel that formed x over every block and weighed each block's near
+# pairs on their own, and guard the block-order sum, the self-pair
+# diagonal and the smallest separation taken from a block's near pairs.
 _PINNED_BITS = {
     "dense-ball": ("0x1.729a80f8cfebbp-124", "MIXED", "0x1.45f1338acd870p-41",
                    "0x1.021be326ed4f9p-46", "0x1.5cfc07c346cddp-39"),
@@ -631,6 +654,12 @@ _PINNED_BITS = {
              "0x1.b7cdfd9d7bdbbp-34", "0x1.6b868816146bbp-35"),
     "box-500": ("0x1.111fd00c7d9afp-107", "INCOHERENT", "0x1.59dbe550ad4e0p-23",
                 "0x1.18ef3892a9f34p-29", "0x1.5cfc07c346cddp-41"),
+    "lattice-then-clump": ("0x1.5568c918871eap-110", "INCOHERENT",
+                           "0x1.177e7258968b5p-19", "0x1.cf1bb984bd90dp-30",
+                           "0x1.b43b09b418814p-36"),
+    "lattice-then-clump-zero-coincident": ("0x1.5614fcda18774p-110", "MIXED",
+                                           "0x1.17c17cf826fadp-19", "0x0.0p+0",
+                                           "0x1.b43b09b418814p-36"),
 }
 
 
@@ -649,6 +678,15 @@ def test_pair_kernel_pinned_bits(name, rate_first):
            regime.min_separation.hex(), regime.wavelength.hex())
     assert got == _PINNED_BITS[name]
     assert regime.r_c == noise.r_c
+
+
+def test_lattice_then_clump_walk_mixes_both_block_kinds():
+    # the precondition of the lattice-then-clump bits: 7 mixed blocks,
+    # then 2 whole ones
+    system, noise, _ = _pinned_case("lattice-then-clump")
+    near_d2 = _near_d2_bound(2.0 * noise.r_c ** 2)
+    kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
+    assert kinds == [False] * 7 + [True] * 2
 
 
 @pytest.mark.parametrize("name", ["dense-ball", "sparse-clumps", "box-500"])
@@ -696,6 +734,25 @@ def test_general_rejects_underflowing_r_c(r_c):
 def test_pair_cutoff_weight_is_exactly_zero():
     # the cutoff is where float64 exp underflows, so cut pairs weigh 0.0
     assert np.exp(-0.5 * _PAIR_CUTOFF_X) == 0.0
+
+
+# At the first two r_c the bound is one ulp below and above the rounded
+# product cutoff * 2 r_c^2, which would pick a different pair set.
+@pytest.mark.parametrize("r_c", [1.0220661985957873e-09, 1.0882647943831494e-09,
+                                 1e-140, 1e-8, 1e-7, 0.7, 1e152, 1e154, 1e160])
+def test_near_bound_picks_exactly_the_pairs_below_the_cutoff(r_c):
+    # d2 < bound must agree with x = d2 / (2 r_c^2) < cutoff on every d2,
+    # also where 2 r_c^2 or cutoff * 2 r_c^2 overflows
+    two_rc2 = 2.0 * r_c * r_c
+    bound = _near_d2_bound(two_rc2)
+    for centre in (bound, min(_PAIR_CUTOFF_X * two_rc2, 1.7976931348623157e308)):
+        below = above = centre
+        for _ in range(64):
+            for d2 in (below, above):
+                if math.isfinite(d2):
+                    assert (d2 < bound) == (d2 / two_rc2 < _PAIR_CUTOFF_X), d2
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
 
 
 # Each example runs an O(N^2) Python loop, so a failure is reported as
