@@ -87,7 +87,7 @@ def cmd_signal(args) -> int:
     if not model.materials:
         sys.stderr.write("warning: empty material inventory; a = 0\n")
     contributions = [
-        (mat.name, detector.material_signal_constant(mat, model.window, model.beta))
+        (mat.name, detector.material_signal_constant(mat, model.window))
         for mat in model.materials
     ]
     total = sum(a_i for _, a_i in contributions)
@@ -97,7 +97,7 @@ def cmd_signal(args) -> int:
         "  formula: a = sum_i Np_i^2 * mass_i * atoms_per_kg_i * live_time_i"
         " * beta * I_i",
         "           I_i = integral of eps_i(E)/E dE over the window, E in keV",
-        f"  beta                 {model.beta:.3e} m^2",
+        f"  beta                 {detector.beta_constant():.3e} m^2",
         f"  window               [{model.window.e_min:.3e}, "
         f"{model.window.e_max:.3e}] keV",
     ]

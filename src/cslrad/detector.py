@@ -6,9 +6,10 @@ The expected signal count in the analysis window is
           sum_i N_pi^2 * alpha_i * beta * (lam / r_c^2 E) * eps_i(E) dE
         = a * (lam / r_c^2),
 
-with alpha_i = mass * atoms-per-kg * live-time of material i, beta the
-universal rate constant hbar e^2 / (4 pi^2 eps0 c^3 m0^2) in m^2, and
-eps_i a fitted detection-efficiency polynomial in E (keV).
+with alpha_i = mass * atoms-per-kg * live-time of material i, beta
+emission's rate prefactor at unit lam and r_c, hbar e^2 / (4 pi^2 eps0
+c^3 m0^2) in m^2, and eps_i a fitted detection-efficiency polynomial in E
+(keV): each summand is emission's nuclear rate_atomic times eps_i.
 
 Energy bookkeeping: written fully in SI the integrand carries 1/E_J and
 the measure dE_J; converting both to keV cancels the keV-to-joule factor
@@ -22,21 +23,23 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .domain import (CONSTANTS, M_NUCLEON, EnergyWindow, check_count,
+from .domain import (EnergyWindow, NoiseParams, check_count,
                      check_finite_nonnegative, check_finite_positive, to_float)
+from .emission import _charge_rate_prefactor, atomic_amplification
 from .specfun import horner, integrate
+
+_BETA = _charge_rate_prefactor(NoiseParams(lambda_collapse=1.0, r_c=1.0))
 
 
 class EfficiencyClampWarning(UserWarning):
     """A fitted efficiency polynomial went negative and was clamped to 0."""
 
 
-def beta_constant(m0: float = M_NUCLEON) -> float:
+def beta_constant() -> float:
     """hbar e^2 / (4 pi^2 eps0 c^3 m0^2), in m^2."""
-    return (CONSTANTS.hbar * CONSTANTS.e_charge ** 2
-            / (4.0 * math.pi ** 2 * CONSTANTS.eps0 * CONSTANTS.c ** 3 * m0 ** 2))
+    return _BETA
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,10 @@ class MaterialComponent:
 
 @dataclass(frozen=True)
 class SignalModel:
-    """A detector inventory, its analysis window, and the rate constant beta."""
+    """A detector inventory and its analysis window."""
 
     materials: tuple[MaterialComponent, ...]
     window: EnergyWindow
-    beta: float = field(default_factory=beta_constant)
 
     def __post_init__(self):
         object.__setattr__(self, "materials", tuple(self.materials))
@@ -152,13 +154,12 @@ def signal_density(model: SignalModel, noise_ratio: float,
             f"[{model.window.e_min}, {model.window.e_max}]")
     total = 0.0
     for mat in model.materials:
-        total += (mat.n_protons ** 2 * mat.alpha
-                  * eval_efficiency(mat.efficiency, energy_kev))
-    return total * model.beta * noise_ratio / energy_kev
+        total += (atomic_amplification(mat.n_protons, include_electrons=False)
+                  * mat.alpha * eval_efficiency(mat.efficiency, energy_kev))
+    return total * _BETA * noise_ratio / energy_kev
 
 
-def material_signal_constant(mat: MaterialComponent, window: EnergyWindow,
-                             beta: float) -> float:
+def material_signal_constant(mat: MaterialComponent, window: EnergyWindow) -> float:
     """One material's contribution to the signal constant a, in s m^2.
 
     The integral of the clamped efficiency over E is exact.  A fit that
@@ -171,13 +172,14 @@ def material_signal_constant(mat: MaterialComponent, window: EnergyWindow,
             f"efficiency polynomial of '{mat.name}' negative over part of "
             f"[{window.e_min}, {window.e_max}] keV; clamped to 0",
             EfficiencyClampWarning, stacklevel=2)
-    return mat.n_protons ** 2 * mat.alpha * beta * integral
+    return (atomic_amplification(mat.n_protons, include_electrons=False)
+            * mat.alpha * _BETA * integral)
 
 
 def compute_a(model: SignalModel) -> float:
     """Signal constant a: expected counts are a * (lam / r_c^2)."""
     return sum(
-        material_signal_constant(mat, model.window, model.beta)
+        material_signal_constant(mat, model.window)
         for mat in model.materials
     )
 
@@ -205,8 +207,9 @@ def signal_shape(model: SignalModel, n_points: int):
                 f"{np.count_nonzero(negative)} of {n_points} energies "
                 f"(down to {eff.min():.3e}); clamped to 0",
                 EfficiencyClampWarning, stacklevel=2)
-        total += mat.n_protons ** 2 * mat.alpha * np.maximum(eff, 0.0)
-    density = total * model.beta / energies
+        total += (atomic_amplification(mat.n_protons, include_electrons=False)
+                  * mat.alpha * np.maximum(eff, 0.0))
+    density = total * _BETA / energies
     area = np.trapezoid(density, energies)
     if area <= 0.0:
         raise ValueError("signal density is identically zero; cannot normalize")

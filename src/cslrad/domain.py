@@ -138,19 +138,20 @@ def wavelength_from_energy(energy_kev: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Collapse-noise parameters: strength, correlation length, reference mass.
+    """Collapse-noise parameters: strength and correlation length.
 
     lambda_collapse : collapse rate in 1/s
     r_c             : noise correlation length in m
-    m0              : reference nucleon mass in kg
+
+    The coupling's reference mass is M_NUCLEON, not a field; detector's
+    beta is emission's rate prefactor at unit lambda_collapse and r_c.
     """
 
     lambda_collapse: float
     r_c: float
-    m0: float = M_NUCLEON
 
     def __post_init__(self):
-        for name in ("lambda_collapse", "r_c", "m0"):
+        for name in ("lambda_collapse", "r_c"):
             check_finite_positive(getattr(self, name), name)
 
 

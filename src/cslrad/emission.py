@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .domain import (
     CONSTANTS,
+    M_NUCLEON,
     NoiseParams,
     ParticleSystem,
     check_count,
@@ -60,8 +61,9 @@ _ANGULAR_SERIES_CUTOFF = 1e-2
 _PAIR_BLOCK_ELEMENTS = 16384
 
 # A pair's Gaussian weight exp(-x/2), x = d^2 / (2 r_c^2), is exactly 0.0 in
-# float64 once x >= 1500 (exp(-750) underflows; d >= ~54.8 r_c), so the pair
-# kernel skips exp, sqrt and sinc there without changing a bit of the sum.
+# float64 from x ~ 1490.3 on (d >= ~54.6 r_c), so the pair kernel skips exp,
+# sqrt and sinc once d^2 reaches the rounded product _PAIR_CUTOFF_X * 2 r_c^2,
+# an ulp at most off x = 1500, without changing a bit of the sum.
 _PAIR_CUTOFF_X = 1500.0
 
 
@@ -140,20 +142,6 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
     f_total = envelope * (3.0 - d2 / two_rc2)
     f_z = envelope * (1.0 - dz * dz / two_rc2)
     return f_total, f_z
-
-
-def _near_d2_bound(two_rc2: float) -> float:
-    """The smallest d^2 whose x = d^2 / two_rc2 reaches _PAIR_CUTOFF_X.
-
-    The rounded quotient never falls as d^2 grows, so d^2 below this bound
-    picks exactly the pairs x < _PAIR_CUTOFF_X does, without forming x.
-    """
-    bound = _PAIR_CUTOFF_X * two_rc2
-    while bound / two_rc2 < _PAIR_CUTOFF_X:
-        bound = math.nextafter(bound, math.inf)
-    while (below := math.nextafter(bound, 0.0)) / two_rc2 >= _PAIR_CUTOFF_X:
-        bound = below
-    return bound
 
 
 def _pair_d2_blocks(system: ParticleSystem, near_d2: float = math.inf):
@@ -262,7 +250,7 @@ def _pair_weight_blocks(system: ParticleSystem, two_rc2: float, k: float):
             yield start, weight
         group.clear()
 
-    for start, d2, near in _pair_d2_blocks(system, _near_d2_bound(two_rc2)):
+    for start, d2, near in _pair_d2_blocks(system, _PAIR_CUTOFF_X * two_rc2):
         if near is None or (sum(len(g[3]) for g in group) + len(near[1])
                             > _PAIR_BLOCK_ELEMENTS):
             yield from flush()
@@ -311,14 +299,18 @@ def j_ij_expectation(omega: float, r_i, r_j, f_total: float, f_z: float,
     sep = math.dist(tuple(r_i), tuple(r_j))
     b = omega * sep / CONSTANTS.c
     prefactor = (8.0 * math.pi ** 2 * CONSTANTS.hbar ** 2 * noise.lambda_collapse
-                 / (noise.m0 ** 2 * m_i * m_j))
+                 / (M_NUCLEON ** 2 * m_i * m_j))
     return prefactor * (f_total * _angular_t1(b) - f_z * _angular_t2(b))
 
 
 def _charge_rate_prefactor(noise: NoiseParams) -> float:
     """hbar*lam*e^2 / (4 pi^2 eps0 m0^2 r_c^2 c^3): single unit-charge scale, 1/s."""
-    denominator = (4.0 * math.pi ** 2 * CONSTANTS.eps0 * noise.m0 ** 2
-                   * noise.r_c ** 2 * CONSTANTS.c ** 3)
+    try:
+        denominator = (4.0 * math.pi ** 2 * CONSTANTS.eps0 * M_NUCLEON ** 2
+                       * noise.r_c ** 2 * CONSTANTS.c ** 3)
+    except OverflowError:  # r_c ** 2 past the float64 range
+        raise ValueError(f"r_c = {noise.r_c} m is too large: the rate's "
+                         "r_c^2 denominator overflows float64") from None
     if denominator == 0.0:
         raise ValueError(f"r_c = {noise.r_c} m is too small: the rate's "
                          "r_c^2 denominator underflows to 0")

@@ -199,11 +199,14 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
     # 2 r_c^2 underflows to 0 in the pair kernel
     ["rate", "--system", "x.json", "--r-c", "1e-300"],
+    # r_c^2 overflows in the rate's prefactor
+    ["rate", "--system", "x.json", "--r-c", "1e160"],
     # counts that do not fit in a float64
     ["limit", "--z-c", "9" * 401],
     ["limit", "--z-b", "9" * 401],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
-        "efficiency", "rate-system-r_c", "limit-z_c-401-digits",
+        "efficiency", "rate-system-r_c", "rate-system-r_c-huge",
+        "limit-z_c-401-digits",
         "limit-z_b-401-digits"])
 def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     if "--system" in argv:
@@ -490,6 +493,17 @@ def child_env():
 def run_module(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "cslrad", *argv], env=child_env(),
                           capture_output=True, text=True, cwd=cwd, timeout=60)
+
+
+def test_huge_r_c_prints_one_error_line():
+    # r_c^2 overflows float64 in the rate's prefactor
+    result = run_module("rate", "--atoms", "1", "--na", "1", "--r-c", "1e160",
+                        "--energy", "50")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("cslrad: error: r_c = 1e+160 m")
+    assert result.stderr.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -30,7 +30,8 @@ from cslrad.detector import (
     signal_model_from_json,
     signal_shape,
 )
-from cslrad.domain import EnergyWindow
+from cslrad.domain import EnergyWindow, NoiseParams
+from cslrad.emission import rate_atomic
 from cslrad.specfun import horner
 
 HBAR = 1.054571817e-34
@@ -157,16 +158,6 @@ def test_beta_constant_value():
     assert beta_constant() == pytest.approx(1.0273792806899094e-34, rel=1e-12)
 
 
-def test_beta_constant_mass_scaling():
-    assert beta_constant(2.0 * M_PROTON) == \
-        pytest.approx(beta_constant() / 4.0, rel=1e-15)
-
-
-def test_signal_model_default_beta():
-    model = SignalModel(materials=(), window=WINDOW)
-    assert model.beta == beta_constant()
-
-
 # --- materials --------------------------------------------------------------
 
 def test_material_alpha_product():
@@ -268,11 +259,10 @@ def test_compute_a_additive_over_materials():
 
 
 def test_compute_a_exposure_linear_proton_quadratic():
-    base = material_signal_constant(flat_material(), WINDOW, beta_constant())
+    base = material_signal_constant(flat_material(), WINDOW)
     doubled = material_signal_constant(
-        flat_material(alpha_parts=(2.0, 1.0, 1.0)), WINDOW, beta_constant())
-    charged = material_signal_constant(
-        flat_material(n_protons=3), WINDOW, beta_constant())
+        flat_material(alpha_parts=(2.0, 1.0, 1.0)), WINDOW)
+    charged = material_signal_constant(flat_material(n_protons=3), WINDOW)
     assert doubled == pytest.approx(2.0 * base, rel=1e-15)
     assert charged == pytest.approx(9.0 * base, rel=1e-15)
 
@@ -286,6 +276,58 @@ def test_compute_a_consistent_with_density_integral():
     integral = mpmath.quad(lambda e: signal_density(model, 1.0, float(e)),
                            [WINDOW.e_min, WINDOW.e_max])
     assert compute_a(model) == pytest.approx(float(integral), rel=1e-12)
+
+
+# --- the detector folds emission's rate -------------------------------------
+
+def table_model():
+    """The five fitted components, with made-up exposures."""
+    return SignalModel(tuple(
+        MaterialComponent(name=name, n_protons=n, atoms_per_kg=8e24 * (k + 1),
+                          mass=1.0 + k, live_time=1e7, efficiency=poly)
+        for k, ((name, poly), n) in enumerate(zip(PAPER_TABLE_1.items(),
+                                                  (32, 29, 29, 29, 82)))),
+        WINDOW)
+
+
+@pytest.mark.parametrize("lam, r_c, energy", [
+    (1e-16, 1e-7, 1000.0), (1e-16, 1e-7, 3800.0), (1e-16, 1e-7, 2345.6),
+    (1e-20, 1e-10, 1500.0), (3.7e-9, 1.0220661985957873e-09, 1200.0),
+    (2.2e-12, 1.0882647943831494e-09, 3100.0), (1e-8, 1e-4, 1999.9),
+    (4.4e-17, 2.5e-6, 2750.0), (1.0, 1.0, 3333.3), (1e-11, 7e-8, 1024.0),
+    (6.1e-14, 3.3e-9, 3700.0), (1e-18, 1e-5, 2222.2),
+])
+def test_signal_density_is_the_nuclear_atomic_rate_times_efficiency(
+        lam, r_c, energy):
+    # the detector stage is emission's per-atom rate, nucleus alone (N_p^2),
+    # over alpha_i atoms, weighted by each efficiency
+    model = table_model()
+    noise = NoiseParams(lambda_collapse=lam, r_c=r_c)
+    want = sum(
+        rate_atomic(mat.alpha, mat.n_protons, noise, energy,
+                    include_electrons=False).value
+        * eval_efficiency(mat.efficiency, energy)
+        for mat in model.materials)
+    got = signal_density(model, lam / r_c ** 2, energy)
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_signal_constant_pinned_bits():
+    # beta and the signal constants of the bundled inventory and of the
+    # table, bit for bit
+    assert beta_constant().hex() == "0x1.111fcf882edd9p-113"
+    path = Path(__file__).parent.parent / "scripts" / "data" / \
+        "ge_target_inventory.json"
+    model = signal_model_from_json(path.read_text())
+    assert [material_signal_constant(mat, model.window).hex()
+            for mat in model.materials] == ["0x1.8ebb39e0df503p+0"]
+    assert compute_a(model).hex() == "0x1.8ebb39e0df503p+0"
+    table = table_model()
+    assert [material_signal_constant(mat, table.window).hex()
+            for mat in table.materials] == [
+        "0x1.67165b813fdbfp+0", "0x1.199e526baa0bcp-1", "0x1.862fb7167794fp-3",
+        "0x1.574721f7ac19cp-7", "0x1.24cd84473ee16p+1"]
+    assert compute_a(table).hex() == "0x1.1c3d449b143bep+2"
 
 
 def test_compute_a_warns_once_per_clamped_material():

@@ -76,16 +76,14 @@ def test_wavelength_rejects_nonpositive(bad):
 
 def test_noise_params_validation():
     ok = NoiseParams(lambda_collapse=1e-16, r_c=1e-7)
-    assert ok.m0 == M_PROTON
+    assert (ok.lambda_collapse, ok.r_c) == (1e-16, 1e-7)
     with pytest.raises(ValueError):
         NoiseParams(lambda_collapse=0.0, r_c=1e-7)
     with pytest.raises(ValueError):
         NoiseParams(lambda_collapse=1e-16, r_c=-1e-7)
-    with pytest.raises(ValueError):
-        NoiseParams(lambda_collapse=1e-16, r_c=1e-7, m0=0.0)
 
 
-@pytest.mark.parametrize("field", ["lambda_collapse", "r_c", "m0"])
+@pytest.mark.parametrize("field", ["lambda_collapse", "r_c"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf,
                                  pytest.param(10 ** 400, id="huge"),
                                  pytest.param(10 ** 5000, id="huge-5001-digits"),
@@ -93,7 +91,7 @@ def test_noise_params_validation():
                                  pytest.param(True, id="bool"),
                                  pytest.param(None, id="none")])
 def test_noise_params_rejects_non_finite(field, bad):
-    kwargs = dict(lambda_collapse=1e-16, r_c=1e-7, m0=M_PROTON)
+    kwargs = dict(lambda_collapse=1e-16, r_c=1e-7)
     kwargs[field] = bad
     with pytest.raises(ValueError, match=field) as err:
         NoiseParams(**kwargs)

@@ -26,8 +26,8 @@ from cslrad.emission import (
     RegimeKind,
     ValidityWarning,
     _PAIR_CUTOFF_X,
-    _near_d2_bound,
     _pair_d2_blocks,
+    _pair_weight,
     _sinc_array,
     atomic_amplification,
     classify_regime,
@@ -381,6 +381,28 @@ def test_closed_rates_reject_underflowing_r_c(r_c):
         rate_atomic(1e300, 94, noise, 50.0)
 
 
+@pytest.mark.parametrize("r_c", [1.35e154, 1e160, 1.7976931348623157e308])
+@pytest.mark.parametrize("rate", [
+    lambda noise: rate_atomic(1.0, 32, noise, 50.0),
+    lambda noise: rate_incoherent([1.0], noise, 50.0),
+    lambda noise: rate_coherent([1.0, 1.0], noise, 50.0),
+    lambda noise: rate_general(ParticleSystem((proton(), proton(1e-12))),
+                               noise, 50.0),
+], ids=["atomic", "incoherent", "coherent", "general"])
+def test_rates_reject_overflowing_r_c(rate, r_c):
+    # r_c^2 overflows float64: a ValueError naming r_c, not an OverflowError
+    noise = NoiseParams(lambda_collapse=1e300, r_c=r_c)
+    with pytest.raises(ValueError, match=r"r_c = .* too large"):
+        rate(noise)
+
+
+def test_rate_below_the_r_c_overflow_is_finite():
+    # the overflow guard leaves a representable rate alone
+    noise = NoiseParams(lambda_collapse=1e300, r_c=1e150)
+    got = float(rate_atomic(1.0, 32, noise, 50.0))
+    assert got == pytest.approx(2.17e-33, rel=1e-2)
+
+
 def test_atomic_rate_ratios_exact():
     single = float(rate_incoherent([1.0], NOISE, 50.0))
     with warnings.catch_warnings():
@@ -684,7 +706,7 @@ def test_lattice_then_clump_walk_mixes_both_block_kinds():
     # the precondition of the lattice-then-clump bits: 7 mixed blocks,
     # then 2 whole ones
     system, noise, _ = _pinned_case("lattice-then-clump")
-    near_d2 = _near_d2_bound(2.0 * noise.r_c ** 2)
+    near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
     kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
     assert kinds == [False] * 7 + [True] * 2
 
@@ -736,23 +758,29 @@ def test_pair_cutoff_weight_is_exactly_zero():
     assert np.exp(-0.5 * _PAIR_CUTOFF_X) == 0.0
 
 
-# At the first two r_c the bound is one ulp below and above the rounded
-# product cutoff * 2 r_c^2, which would pick a different pair set.
+# At the first two r_c the rounded product cutoff * 2 r_c^2 is one ulp
+# above and below the smallest d^2 whose x = d^2 / (2 r_c^2) reaches the
+# cutoff, so the walk keeps or cuts one d^2 the quotient would not.
 @pytest.mark.parametrize("r_c", [1.0220661985957873e-09, 1.0882647943831494e-09,
                                  1e-140, 1e-8, 1e-7, 0.7, 1e152, 1e154, 1e160])
-def test_near_bound_picks_exactly_the_pairs_below_the_cutoff(r_c):
-    # d2 < bound must agree with x = d2 / (2 r_c^2) < cutoff on every d2,
-    # also where 2 r_c^2 or cutoff * 2 r_c^2 overflows
+def test_pairs_near_the_cut_weigh_exactly_zero(r_c):
+    # the walk cuts at d^2 >= cutoff * 2 r_c^2; every d^2 within 64 ulps of
+    # that product weighs exactly 0.0, so where the rounded product puts the
+    # cut changes no bit of the sum
     two_rc2 = 2.0 * r_c * r_c
-    bound = _near_d2_bound(two_rc2)
-    for centre in (bound, min(_PAIR_CUTOFF_X * two_rc2, 1.7976931348623157e308)):
-        below = above = centre
-        for _ in range(64):
-            for d2 in (below, above):
-                if math.isfinite(d2):
-                    assert (d2 < bound) == (d2 / two_rc2 < _PAIR_CUTOFF_X), d2
-            below = math.nextafter(below, 0.0)
-            above = math.nextafter(above, math.inf)
+    cut = _PAIR_CUTOFF_X * two_rc2
+    d2 = below = above = min(cut, 1.7976931348623157e308)
+    near = [d2]
+    for _ in range(64):
+        below = math.nextafter(below, 0.0)
+        above = math.nextafter(above, math.inf)
+        near += [d2 for d2 in (below, above) if math.isfinite(d2)]
+    near = np.array(near)
+    if math.isfinite(cut):
+        for k in (0.0, omega_of(1000.0) / C_LIGHT):
+            assert not _pair_weight(near, two_rc2, k).any()
+    else:  # 2 r_c^2 or the product overflows: the walk cuts no pair
+        assert (near < cut).all()
 
 
 # Each example runs an O(N^2) Python loop, so a failure is reported as

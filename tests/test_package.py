@@ -1,9 +1,10 @@
-"""Package-level tests: the public name list and README's examples.
+"""Package-level tests: the public name list, dead imports, README's examples.
 
 README's command lines are only parsed, with the CLI's own parser, so no
 example writes a file here; its library sketch is run.
 """
 
+import ast
 import re
 import shlex
 import types
@@ -16,6 +17,7 @@ import cslrad
 from cslrad import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+SOURCES = sorted(Path(cslrad.__file__).parent.glob("*.py"))
 
 
 def test_all_lists_exactly_the_public_names():
@@ -23,6 +25,69 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name, value in vars(cslrad).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public - set(cslrad.__all__) == set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names an import binds and its scope never uses, as "line: name".
+
+    A module-level import may be used anywhere in the module, one inside a
+    function only in that function.  Names listed in __all__, and imports
+    on a line marked "# noqa: F401", count as used.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for node in iter_own_nodes(scope):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            marked = any("# noqa: F401" in lines[i]
+                         for i in range(node.lineno - 1, node.end_lineno))
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and name not in exported and not marked:
+                    unused.append(f"{node.lineno}: {name}")
+    return sorted(unused)
+
+
+def iter_own_nodes(scope):
+    """The nodes of scope that no nested function holds."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_finds_what_it_should():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "from os import path, sep\n"
+              "from json import dumps  # noqa: F401\n"
+              "from re import compile\n"
+              "__all__ = ['compile']\n"
+              "def f():\n"
+              "    import numpy as np\n"
+              "    return sep\n"
+              "def g():\n"
+              "    return np\n")
+    assert unused_imports(source) == ["2: math", "3: path", "8: np"]
 
 
 def readme_command_lines():
