@@ -10,18 +10,20 @@ warnings go to standard error so CSV output stays parseable.  Exit codes
 are 0 (success), 1 (usage, parse, I/O, or numerical error), 2 (no positive
 limit).  argparse only parses numbers; whether one is in range is decided
 by the library call it feeds, whose ValueError names the quantity.
+
+Each subcommand imports the one stage it runs (``limits``, ``detector``
+or ``emission``) when it runs, so a cold call loads no other stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
-from . import detector, emission, limits
-from .domain import NoiseParams, particle_system_from_json
-from .specfun import ConvergenceError
+from .domain import (DEFAULT_BACKGROUND_COUNTS, DEFAULT_CREDIBILITY,
+                     DEFAULT_OBSERVED_COUNTS, DEFAULT_SIGNAL_CONSTANT,
+                     ConvergenceError, NoiseParams, particle_system_from_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +52,8 @@ def _noise_from_args(args) -> NoiseParams:
 
 
 def cmd_limit(args) -> int:
+    from . import limits
+
     exp = limits.CountingExperiment(z_c=args.z_c, z_b=args.z_b, a=args.a)
     result = limits.upper_limit_lambda(exp, args.r_c, args.credibility)
     lines = [
@@ -73,9 +77,15 @@ def cmd_limit(args) -> int:
 
 
 def cmd_exclusion(args) -> int:
+    from . import limits
+
     exp = limits.CountingExperiment(z_c=args.z_c, z_b=args.z_b, a=args.a)
-    curve = limits.exclusion_curve(exp, args.r_c_min, args.r_c_max,
-                                   args.n_points, args.credibility)
+    try:
+        curve = limits.exclusion_curve(exp, args.r_c_min, args.r_c_max,
+                                       args.n_points, args.credibility)
+    except limits.NoPositiveLimitError as exc:
+        sys.stderr.write(f"cslrad: {exc}\n")
+        return 2
     buf = io.StringIO()
     limits.write_exclusion_csv(curve, buf)
     _emit(buf.getvalue(), args.output)
@@ -83,6 +93,8 @@ def cmd_exclusion(args) -> int:
 
 
 def cmd_signal(args) -> int:
+    from . import detector
+
     model = detector.signal_model_from_json(_read(args.inventory))
     if not model.materials:
         sys.stderr.write("warning: empty material inventory; a = 0\n")
@@ -109,6 +121,8 @@ def cmd_signal(args) -> int:
 
 
 def cmd_shape(args) -> int:
+    from . import detector
+
     model = detector.signal_model_from_json(_read(args.inventory))
     energies, density = detector.signal_shape(model, args.n_points)
     buf = io.StringIO()
@@ -120,7 +134,10 @@ def cmd_shape(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    if (args.system is None) == (args.atoms is None):
+    from . import emission
+
+    if (args.system is None) == (args.atoms is None) or (
+            args.system is not None and args.na is not None):
         raise ValueError("give exactly one of --system or --atoms/--na")
     if args.atoms is not None and args.na is None:
         raise ValueError("--atoms requires --na")
@@ -151,6 +168,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    from . import detector
+
     dataset = detector.PAPER_TABLE_1
     if args.material not in dataset:
         raise ValueError(
@@ -169,6 +188,8 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    from . import emission
+
     system = particle_system_from_json(_read(args.system))
     noise = _noise_from_args(args)
     regime = emission.classify_regime(system, noise, args.energy)
@@ -188,16 +209,16 @@ def cmd_regime(args) -> int:
 
 def _add_counting_flags(sub) -> None:
     sub.add_argument("--z-c", type=int,
-                     default=limits.DEFAULT_OBSERVED_COUNTS,
+                     default=DEFAULT_OBSERVED_COUNTS,
                      help="observed counts in the window")
     sub.add_argument("--z-b", type=int,
-                     default=limits.DEFAULT_BACKGROUND_COUNTS,
+                     default=DEFAULT_BACKGROUND_COUNTS,
                      help="simulated background counts")
     sub.add_argument("--a", type=float,
-                     default=limits.DEFAULT_SIGNAL_CONSTANT,
+                     default=DEFAULT_SIGNAL_CONSTANT,
                      help="signal constant in s m^2")
     sub.add_argument("--credibility", type=float,
-                     default=limits.DEFAULT_CREDIBILITY,
+                     default=DEFAULT_CREDIBILITY,
                      help="posterior credibility of the bound")
 
 
@@ -274,10 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except limits.NoPositiveLimitError as exc:
-        sys.stderr.write(f"cslrad: {exc}\n")
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         sys.stderr.write(f"cslrad: error: {exc}\n")
         return 1
 

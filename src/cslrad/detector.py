@@ -20,7 +20,6 @@ closed form.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,6 +237,8 @@ def signal_model_from_json(text: str) -> SignalModel:
                         "mass_kg": ..., "live_time_s": ...,
                         "efficiency_coeffs": [...]}, ...]}
     """
+    import json  # loaded only where a file is parsed
+
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("inventory JSON must be an object")

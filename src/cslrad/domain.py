@@ -13,7 +13,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -23,6 +22,15 @@ from typing import TYPE_CHECKING
 # the CLI subcommands that build no array never load it.
 if TYPE_CHECKING:
     import numpy as np
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative kernel failed to reach its tolerance.
+
+    Raised by ``specfun``; defined here so that the CLI can map it to exit
+    1 without loading the numerics.
+    """
+
 
 # Input checks shared by every module, so that each quantity is judged in
 # one place.  Each raises ValueError naming the quantity.
@@ -215,6 +223,8 @@ def particle_system_from_json(text: str) -> ParticleSystem:
     Expected shape: an array of objects
     ``{"charge_e": number, "mass_kg": number, "position_m": [x, y, z]}``.
     """
+    import json  # loaded only where a file is parsed
+
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("particle system JSON must be an array of objects")
@@ -260,3 +270,13 @@ class EnergyWindow:
 
 # The counting analysis window of the bundled dataset.
 DEFAULT_WINDOW = EnergyWindow(1000.0, 3800.0)
+
+# Reference analysis inputs: 576 observed counts, 506 simulated
+# background counts, signal constant 2.0986 s m^2 for the full detector
+# inventory (material masses are not public, so the constant is carried
+# as a certified input rather than recomputed).  ``limits`` uses them;
+# they live here so that the CLI's defaults need no ``limits``.
+DEFAULT_OBSERVED_COUNTS = 576
+DEFAULT_BACKGROUND_COUNTS = 506
+DEFAULT_SIGNAL_CONSTANT = 2.0986
+DEFAULT_CREDIBILITY = 0.95

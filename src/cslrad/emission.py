@@ -350,6 +350,9 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     prefactor = _charge_rate_prefactor(noise)
     k = kev_to_joule(energy_kev) / CONSTANTS.hbar / CONSTANTS.c  # omega / c
     two_rc2 = 2.0 * noise.r_c * noise.r_c
+    if two_rc2 == math.inf:  # r_c^2 fits, but x = d^2 / inf would be 0
+        raise ValueError(f"r_c = {noise.r_c} m is too large: the pair "
+                         "weight's 2 r_c^2 overflows float64")
     charges = system._charges
 
     # sum_ij q_i q_j / (m_i m_j) * f_ij * sinc(b_ij): the masses cancel

@@ -22,8 +22,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .domain import (check_count, check_finite_nonnegative,
-                     check_finite_positive, format_value)
+from .domain import (DEFAULT_CREDIBILITY, DEFAULT_SIGNAL_CONSTANT, check_count,
+                     check_finite_nonnegative, check_finite_positive,
+                     format_value)
+# The reference counts are domain's, beside the other defaults, so the
+# CLI's flags need no limits; limits.DEFAULT_* stay importable.
+from .domain import DEFAULT_BACKGROUND_COUNTS, DEFAULT_OBSERVED_COUNTS  # noqa: F401
 # reg_lower_gamma is not called here, but perfbench's tracer wraps
 # limits.reg_lower_gamma, so the name stays importable from this module.
 from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma  # noqa: F401
@@ -33,15 +37,6 @@ from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma  # noqa: F401
 # never load it.
 if TYPE_CHECKING:
     import numpy as np
-
-# Reference analysis inputs: 576 observed counts, 506 simulated
-# background counts, signal constant 2.0986 s m^2 for the full detector
-# inventory (material masses are not public, so the constant is carried
-# as a certified input rather than recomputed).
-DEFAULT_OBSERVED_COUNTS = 576
-DEFAULT_BACKGROUND_COUNTS = 506
-DEFAULT_SIGNAL_CONSTANT = 2.0986
-DEFAULT_CREDIBILITY = 0.95
 
 
 class NoPositiveLimitError(ValueError):

@@ -26,10 +26,7 @@ from __future__ import annotations
 import math
 import sys
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative kernel failed to reach its tolerance."""
-
+from .domain import ConvergenceError
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 

@@ -438,13 +438,17 @@ def test_rate_zero_atoms(capsys):
     ["rate"],
     ["rate", "--atoms", "1e20"],
     ["rate", "--atoms", "1e20", "--na", "32", "--system", "x.json"],
+    ["rate", "--system", "x.json", "--na", "32"],
 ])
 def test_rate_mode_selection_errors(argv, capsys, tmp_path):
     if "--system" in argv:
         argv = list(argv)
         argv[argv.index("x.json")] = proton_system(tmp_path, (0, 0, 0))
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    if "--system" in argv:
+        assert "give exactly one of --system or --atoms/--na" in err
 
 
 # --- efficiency -------------------------------------------------------------
@@ -601,6 +605,53 @@ def test_signal_clamp_warns_once_per_material(tmp_path):
     assert len(warned) == 1
     assert "'Pb shield'" in warned[0]
     assert "Pb shield" in result.stdout and "Ge crystal" in result.stdout
+
+
+# --- each call loads only the stage it runs (subprocess) -------------------
+
+@pytest.mark.parametrize("argv, runs", [
+    (["limit"], "limits"),
+    (["exclusion", "--n-points", "8"], "limits"),
+    (["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"], "emission"),
+    (["rate", "--system", "x.json", "--energy", "50"], "emission"),
+    (["regime", "--system", "x.json"], "emission"),
+    (["signal", "--inventory", str(GE_INVENTORY)], "detector"),
+    (["shape", "--inventory", str(GE_INVENTORY), "--n-points", "8"], "detector"),
+    (["efficiency", "--material", "Ge crystal", "--energy", "1000"], "detector"),
+], ids=["limit", "exclusion", "rate-atoms", "rate-system", "regime", "signal", "shape",
+        "efficiency"])
+def test_each_subcommand_loads_only_its_stage(argv, runs, tmp_path):
+    # one fresh interpreter per call; detector builds on emission, so a
+    # detector call may load it
+    argv = [proton_system(tmp_path, (0, 0, 0), (1e-15, 0, 0)) if a == "x.json"
+            else a for a in argv]
+    probe = textwrap.dedent("""
+        import json, sys
+        from cslrad import cli
+        code = cli.main(json.loads(sys.argv[1]))
+        print(json.dumps([code, sorted(sys.modules)]))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps([*argv, "--output",
+                                                  str(tmp_path / "out")])],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("cslrad.")}
+    assert runs in loaded
+    never = {"limits": {"detector", "emission"}, "emission": {"limits", "detector"},
+             "detector": {"limits"}}[runs]
+    assert loaded & never == set()
+
+
+def test_import_cslrad_loads_no_submodule():
+    probe = ("import sys, cslrad; "
+             "print(sorted(m for m in sys.modules if m.startswith('cslrad.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # --- NumPy stays unloaded where no array is built (subprocess) -------------

@@ -396,6 +396,21 @@ def test_rates_reject_overflowing_r_c(rate, r_c):
         rate(noise)
 
 
+def test_general_rejects_r_c_whose_2_r_c_squared_overflows():
+    # r_c^2 fits a float64 but 2 r_c^2 does not: the closed rates stay
+    # finite, while rate_general names r_c instead of giving every pair
+    # x = d^2 / inf = 0, a weight of 3 sinc (1.213x the rate of two
+    # protons r_c apart)
+    noise = NoiseParams(lambda_collapse=1e300, r_c=1.2e154)
+    for rate in (rate_atomic(1.0, 32, noise, 50.0),
+                 rate_incoherent([1.0], noise, 50.0),
+                 rate_coherent([1.0, 1.0], noise, 50.0)):
+        assert 0.0 < float(rate) < math.inf
+    system = ParticleSystem((proton(), proton(1.2e154)))
+    with pytest.raises(ValueError, match=r"r_c = 1\.2e\+154 m is too large"):
+        rate_general(system, noise, 50.0)
+
+
 def test_rate_below_the_r_c_overflow_is_finite():
     # the overflow guard leaves a representable rate alone
     noise = NoiseParams(lambda_collapse=1e300, r_c=1e150)

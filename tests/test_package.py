@@ -5,6 +5,7 @@ example writes a file here; its library sketch is run.
 """
 
 import ast
+import importlib
 import re
 import shlex
 import types
@@ -27,6 +28,33 @@ def test_all_lists_exactly_the_public_names():
     assert public - set(cslrad.__all__) == set()
 
 
+def top_level_definitions(path: Path) -> set[str]:
+    """The names a module's own top-level statements define."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for module_name in sorted(set(cslrad._MODULE_OF.values())):
+        module = importlib.import_module(f"cslrad.{module_name}")
+        defined = top_level_definitions(Path(module.__file__))
+        names = [n for n in cslrad.__all__ if cslrad._MODULE_OF[n] == module_name]
+        assert [n for n in names if n not in defined] == []
+        assert [n for n in names if getattr(cslrad, n) is not getattr(module, n)] == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        cslrad.nope  # noqa: B018
+    assert set(cslrad.__all__) <= set(dir(cslrad))
+
+
 def unused_imports(source: str) -> list[str]:
     """The names an import binds and its scope never uses, as "line: name".
 
@@ -39,7 +67,8 @@ def unused_imports(source: str) -> list[str]:
     exported = set()
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                and not isinstance(node.value, ast.Call)):  # a computed list names no import
             exported = set(ast.literal_eval(node.value))
     unused = []
     scopes = [tree] + [node for node in ast.walk(tree) if isinstance(
