@@ -141,6 +141,8 @@ def cmd_rate(args) -> int:
         raise ValueError("give exactly one of --system or --atoms/--na")
     if args.atoms is not None and args.na is None:
         raise ValueError("--atoms requires --na")
+    if args.system is not None and args.electrons is not None:
+        raise ValueError("--electrons and --no-electrons apply only with --atoms")
     noise = _noise_from_args(args)
     lines = ["emission rate density"]
     if args.system is not None:
@@ -148,13 +150,14 @@ def cmd_rate(args) -> int:
         density = emission.rate_general(system, noise, args.energy)
         lines.append(f"  particles            {len(system)}")
     else:
-        amp = emission.atomic_amplification(args.na, args.electrons)
+        electrons = args.electrons is not False  # on unless --no-electrons
+        amp = emission.atomic_amplification(args.na, electrons)
         density = emission.rate_atomic(args.atoms, args.na, noise, args.energy,
-                                       args.electrons)
+                                       electrons)
         lines += [
             f"  atoms                {args.atoms:.3e}",
             f"  atomic number        {args.na}",
-            f"  electron term        {'on' if args.electrons else 'off'}",
+            f"  electron term        {'on' if electrons else 'off'}",
             f"  amplification        {amp:.3e}",
         ]
     lines += [
@@ -264,7 +267,8 @@ def build_parser() -> _Parser:
                      help="number of atoms (atomic mode)")
     sub.add_argument("--na", type=int, help="atomic number (atomic mode)")
     sub.add_argument("--electrons", action=argparse.BooleanOptionalAction,
-                     default=True, help="include the incoherent electron term")
+                     help="include the incoherent electron term (atomic mode "
+                     "only; on by default)")
     sub.add_argument("--energy", type=float, default=1000.0,
                      help="photon energy in keV")
     _add_noise_flags(sub)

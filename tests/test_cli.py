@@ -451,6 +451,25 @@ def test_rate_mode_selection_errors(argv, capsys, tmp_path):
         assert "give exactly one of --system or --atoms/--na" in err
 
 
+@pytest.mark.parametrize("flag", ["--electrons", "--no-electrons"])
+def test_rate_system_rejects_the_electron_flag(flag, capsys, tmp_path):
+    path = proton_system(tmp_path, (0, 0, 0))
+    assert main(["rate", "--system", path, flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cslrad: error: --electrons and --no-electrons "
+                            "apply only with --atoms\n")
+
+
+def test_rate_atomic_electron_term_is_on_by_default(capsys):
+    argv = ["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main([*argv, "--electrons"]) == 0
+    assert capsys.readouterr() == default
+    assert report_value(default.out, "electron term") == "on"
+
+
 # --- efficiency -------------------------------------------------------------
 
 def test_efficiency_ge(capsys):
