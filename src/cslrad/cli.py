@@ -6,7 +6,8 @@ the Bayesian bounds, ``signal`` and ``shape`` for detector folding,
 
 Conventions: every subcommand takes ``--output PATH`` (default standard
 output); reports print numbers to 4 significant digits, CSVs to 17;
-warnings go to standard error so CSV output stays parseable.  Exit codes
+warnings go to standard error, one ``cslrad: warning: <Category>:
+<message>`` line each, so CSV output stays parseable.  Exit codes
 are 0 (success), 1 (usage, parse, I/O, or numerical error), 2 (no positive
 limit).  argparse only parses numbers; whether one is in range is decided
 by the library call it feeds, whose ValueError names the quantity.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+import warnings
 
 from .domain import (DEFAULT_BACKGROUND_COUNTS, DEFAULT_CREDIBILITY,
                      DEFAULT_OBSERVED_COUNTS, DEFAULT_SIGNAL_CONSTANT,
@@ -294,14 +296,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"cslrad: warning: {category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, ConvergenceError) as exc:
-        sys.stderr.write(f"cslrad: error: {exc}\n")
-        return 1
+    # warnings print as one line while a command runs; a library caller
+    # keeps Python's format, with the file and line of the call
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError, ConvergenceError) as exc:
+            sys.stderr.write(f"cslrad: error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,11 @@ Rates are reported per keV: dGamma/dE in 1/(keV s) with E in keV.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -144,26 +147,59 @@ def f_ij_point(d, m_i: float, m_j: float, r_c: float) -> tuple[float, float]:
     return f_total, f_z
 
 
+def _block_bounds(n: int):
+    """Yield (start, stop) of the pair walk's row blocks over n charges.
+
+    A block holds the rows start..stop-1 against the columns start..n-1,
+    at most _PAIR_BLOCK_ELEMENTS entries.
+    """
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start)))
+        yield start, stop
+        start = stop
+
+
+def _block_d2(axes: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, float]:
+    """(d2, its largest entry) of one row block of squared pair separations.
+
+    d2[r, c] = |x_(start+r) - x_(start+c)|^2 over the columns start..N-1,
+    from the axis-contiguous positions axes (rows x, y, z).  Differences
+    are taken per axis before squaring, so tiny separations keep their
+    relative precision.  A d2 that overflows float64 raises ValueError.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # an inf d2 raises below
+        d2 = (axes[0, start:stop, None] - axes[0, start:]) ** 2
+        d2 += (axes[1, start:stop, None] - axes[1, start:]) ** 2
+        d2 += (axes[2, start:stop, None] - axes[2, start:]) ** 2
+    d2_max = float(d2.max())
+    if d2_max == math.inf:
+        raise ValueError("pair separations overflow float64")
+    return d2, d2_max
+
+
+def _self_pairs(d2: np.ndarray) -> np.ndarray:
+    """The view of a row block's self-pairs, the diagonal of its leading square."""
+    return d2.reshape(-1)[::d2.shape[1] + 1]
+
+
 def _pair_d2_blocks(system: ParticleSystem, near_d2: float = math.inf):
     """Yield (start, d2, near) row blocks of squared pair separations.
 
-    d2[r, c] = |x_(start+r) - x_(start+c)|^2 for the rows start..start+R
-    against the columns start..N-1, at most _PAIR_BLOCK_ELEMENTS entries
-    per block.  Every unordered pair i < j lies in the block holding row i:
-    twice (as ij and ji) in the block's leading R x R square, once in the
-    columns beyond it.  The square's diagonal holds the self-pairs.
+    d2 is _block_d2's block for each of _block_bounds, in order.  Every
+    unordered pair i < j lies in the block holding row i: twice (as ij
+    and ji) in the block's leading R x R square, once in the columns
+    beyond it.  The square's diagonal holds the self-pairs.
 
     A block whose every d2 lies below near_d2 is whole: near is None and
     the diagonal is 0.  Any other block is mixed: its diagonal is set to
     inf, and near = (index, values) holds the flat index and d2 of its
     entries below near_d2, in the order a boolean mask gives.  With the
-    default near_d2 every block is whole.
-
-    Differences are taken per axis, from one axis-contiguous copy of the
-    positions, before squaring, so tiny separations keep their relative
-    precision.  A block holding a d2 that overflows float64 raises
-    ValueError instead of being yielded, so every d2 a caller sees is
-    finite, except a mixed block's diagonal.
+    default near_d2 every block is whole.  A block holding a d2 that
+    overflows float64 raises ValueError instead of being yielded, so every
+    d2 a caller sees is finite, except a mixed block's diagonal.
 
     A caller must be done with a whole block when it asks for the next:
     the walk then sets its diagonal to inf and scans it for its smallest
@@ -177,31 +213,20 @@ def _pair_d2_blocks(system: ParticleSystem, near_d2: float = math.inf):
     import numpy as np
 
     axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
-    n = axes.shape[1]
     max_d2, min_d2 = 0.0, math.inf
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, _PAIR_BLOCK_ELEMENTS // (n - start)))
-        with np.errstate(over="ignore"):  # an inf d2 raises below
-            d2 = (axes[0, start:stop, None] - axes[0, start:]) ** 2
-            d2 += (axes[1, start:stop, None] - axes[1, start:]) ** 2
-            d2 += (axes[2, start:stop, None] - axes[2, start:]) ** 2
-        d2_max = float(d2.max())
-        if d2_max == math.inf:
-            raise ValueError("pair separations overflow float64")
+    for start, stop in _block_bounds(axes.shape[1]):
+        d2, d2_max = _block_d2(axes, start, stop)
         max_d2 = max(max_d2, d2_max)
-        diagonal = d2.reshape(-1)[::d2.shape[1] + 1]  # the self-pairs
         if d2_max < near_d2:
             yield start, d2, None
-            diagonal[:] = math.inf
+            _self_pairs(d2)[:] = math.inf
             min_d2 = min(min_d2, float(d2.min()))
         else:
-            diagonal[:] = math.inf
+            _self_pairs(d2)[:] = math.inf
             index = np.flatnonzero(d2 < near_d2)
             values = d2.take(index)
             min_d2 = min(min_d2, float(values.min() if index.size else d2.min()))
             yield start, d2, (index, values)
-        start = stop
     system._d2_extremes.update(max=max_d2, min=min_d2)
 
 
@@ -245,7 +270,7 @@ def _pair_weight_blocks(system: ParticleSystem, two_rc2: float, k: float):
         for start, shape, index, values in group:
             weight = np.zeros(shape)
             weight.put(index, weights[offset:offset + len(values)])
-            weight.reshape(-1)[::shape[1] + 1] = 3.0
+            _self_pairs(weight)[:] = 3.0
             offset += len(values)
             yield start, weight
         group.clear()
@@ -259,6 +284,155 @@ def _pair_weight_blocks(system: ParticleSystem, two_rc2: float, k: float):
         else:
             group.append((start, d2.shape, *near))
     yield from flush()
+
+
+def _block_sum(charges: np.ndarray, start: int, weight: np.ndarray) -> float:
+    """sum_ij q_i q_j weight_ij over one row block and both orders of its pairs.
+
+    Columns past the block's leading square stand for both orders of
+    their pairs, hence the doubled column charges.
+    """
+    rows = len(weight)
+    q_cols = 2.0 * charges[start:]
+    q_cols[:rows] = charges[start:start + rows]
+    return float(charges[start:start + rows] @ (weight @ q_cols))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _walk_threads(system: ParticleSystem, near_d2: float) -> int:
+    """How many threads may share a rate_general walk: 1, or the usable CPUs.
+
+    Only a walk of several blocks in which every pair is near is shared;
+    any other walk, which cuts pairs or has one block, runs on the calling
+    thread.  Every pair is near when the positions' bounding box is: each
+    |x_i - x_j| and its square round to at most the box's, summed in the
+    same order, so the box's d^2 bounds every pair's.
+    """
+    import numpy as np
+
+    if len(system) ** 2 <= _PAIR_BLOCK_ELEMENTS:  # one block
+        return 1
+    axes = np.ascontiguousarray(system._positions.T)  # rows reduce ~10x faster
+    with np.errstate(over="ignore"):  # an inf diagonal is simply not near
+        side = axes.max(axis=1) - axes.min(axis=1)
+        side2 = side * side
+        diagonal2 = side2[0] + side2[1] + side2[2]
+    if not diagonal2 < near_d2:
+        return 1
+    return _usable_cpus()
+
+
+class _Helpers:
+    """Daemon threads that run shares of pair walks, started on first use.
+
+    A share is a callable.  The helpers take the shares handed to them in
+    turn, so a share may start after its walk is done; it then finds no
+    block left and returns.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()  # held while handing out shares
+        self.shares = collections.deque()
+        self.ready = threading.Semaphore(0)  # counts the shares not yet taken
+        self.started = 0
+
+    def hand(self, share, count: int) -> None:
+        """Hand share to count helpers, starting those not yet running."""
+        with self.lock:
+            while self.started < count:
+                try:
+                    threading.Thread(target=self._serve, name="cslrad-pair-walk",
+                                     daemon=True).start()
+                except RuntimeError:  # the system gives no more threads
+                    break
+                self.started += 1
+            for _ in range(min(count, self.started)):
+                self.shares.append(share)
+                self.ready.release()
+
+    def _serve(self) -> None:
+        while True:
+            self.ready.acquire()
+            self.shares.popleft()()
+
+
+_HELPERS = _Helpers()
+
+
+def _forget_helpers() -> None:
+    # A forked child has only the thread that forked: its parent's helpers,
+    # and any lock one of them held, did not come with it.
+    global _HELPERS
+    _HELPERS = _Helpers()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _pair_sum_on_threads(system: ParticleSystem, two_rc2: float, k: float,
+                         threads: int) -> float:
+    """rate_general's pair sum over whole row blocks, on up to threads threads.
+
+    The calling thread and up to threads - 1 helpers, at most one per
+    block past the first, each take the next block of _block_bounds from
+    one shared iterator, and keep the block's sum and d^2 extremes by its
+    index.  Once the iterator is empty and no block is in hand, the caller
+    adds the sums in block order from 0.0 and combines the extremes with
+    max and min, so the sum and the extremes kept on the system are the
+    single-thread walk's to the bit.  The caller never waits for a helper
+    that has taken no block.  An error in any block stops the walk: it is
+    raised here once no block is in hand, and the system keeps no extremes.
+    """
+    import numpy as np
+
+    axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
+    charges = system._charges
+    bounds = list(_block_bounds(len(system)))
+    todo, claim = iter(enumerate(bounds)), threading.Condition()
+    sums, maxima, minima = ([0.0] * len(bounds) for _ in range(3))
+    errors = []
+    in_hand = 0  # blocks taken and not yet done
+
+    def share():
+        nonlocal in_hand
+        while True:
+            with claim:
+                block = None if errors else next(todo, None)
+                if block is None:
+                    return
+                in_hand += 1
+            i, (start, stop) = block
+            try:
+                d2, maxima[i] = _block_d2(axes, start, stop)
+                sums[i] = _block_sum(charges, start, _pair_weight(d2, two_rc2, k))
+                _self_pairs(d2)[:] = math.inf
+                minima[i] = float(d2.min())
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append(exc)
+            with claim:
+                in_hand -= 1
+                if not in_hand:
+                    claim.notify()
+
+    _HELPERS.hand(share, min(threads, len(bounds)) - 1)
+    share()
+    with claim:
+        claim.wait_for(lambda: not in_hand)
+    if errors:
+        raise errors[0]
+    pair_sum = 0.0
+    for block_sum in sums:
+        pair_sum += block_sum
+    system._d2_extremes.update(max=max(0.0, *maxima), min=min(minima))
+    return pair_sum
 
 
 def _angular_t1(b: float) -> float:
@@ -339,7 +513,10 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     Uses the closed-form pair correlation of f_ij_point and the sinc
     coherence factor; the diagonal terms reproduce rate_incoherent and the
     zero-separation limit reproduces rate_coherent.  The pairs are summed
-    in row blocks, so memory stays O(N) however large the system.  The
+    in row blocks, so memory stays O(N) however large the system.  When
+    every pair is within the cutoff and there are several blocks, helper
+    threads, one per further usable CPU, weigh blocks beside the calling
+    thread; the result has the same bits on any number of CPUs.  The
     walk leaves the system holding its separation extremes, so a
     classify_regime that follows costs no second pass over the pairs.
     """
@@ -353,7 +530,6 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     if two_rc2 == math.inf:  # r_c^2 fits, but x = d^2 / inf would be 0
         raise ValueError(f"r_c = {noise.r_c} m is too large: the pair "
                          "weight's 2 r_c^2 overflows float64")
-    charges = system._charges
 
     # sum_ij q_i q_j / (m_i m_j) * f_ij * sinc(b_ij): the masses cancel
     # against f_ij's m_i m_j, leaving exp(-x/2) (3 - x) / (2 r_c^2) with
@@ -362,14 +538,13 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # so the rate is the closed rates' prefactor times pair_sum / 3E;
     # dividing by 3 first makes a single integer charge give rate_incoherent
     # exactly.
-    # Columns past a block's leading square stand for both orders of
-    # their pairs, hence the doubled column charges.
-    pair_sum = 0.0
-    for start, weight in _pair_weight_blocks(system, two_rc2, k):
-        rows = len(weight)
-        q_cols = 2.0 * charges[start:]
-        q_cols[:rows] = charges[start:start + rows]
-        pair_sum += float(charges[start:start + rows] @ (weight @ q_cols))
+    threads = _walk_threads(system, _PAIR_CUTOFF_X * two_rc2)
+    if threads > 1:
+        pair_sum = _pair_sum_on_threads(system, two_rc2, k, threads)
+    else:
+        pair_sum = 0.0
+        for start, weight in _pair_weight_blocks(system, two_rc2, k):
+            pair_sum += _block_sum(system._charges, start, weight)
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")
     return RateDensity(prefactor * (pair_sum / 3.0) / energy_kev)

@@ -575,6 +575,29 @@ def test_rate_warning_goes_to_stderr():
     assert "dGamma/dE" in result.stdout
 
 
+def test_a_warning_prints_as_one_line():
+    # no file, line number or source line of the call, whatever the install
+    result = run_module("rate", "--atoms", "1e20", "--na", "32")
+    assert result.returncode == 0
+    assert result.stderr == (
+        "cslrad: warning: ValidityWarning: electron term requested at 1000.0 "
+        "keV, above the 100 keV relativistic threshold\n")
+
+
+def test_main_leaves_library_warnings_in_pythons_format(capsys):
+    shown = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["rate", "--atoms", "1e20", "--na", "32",
+                     "--energy", "5"]) == 0
+        assert warnings.showwarning is shown
+        with pytest.warns(emission.ValidityWarning):
+            emission.rate_atomic(1.0, 32, NoiseParams(1e-16, 1e-7), 5.0)
+    assert capsys.readouterr().err == (
+        "cslrad: warning: ValidityWarning: energy 5.0 keV outside the "
+        "10-100000 keV validity range of the atomic rate\n")
+
+
 @pytest.mark.parametrize("command", ["rate", "regime"])
 def test_overflowing_separations_print_only_the_error_line(command, tmp_path):
     # |d|^2 overflows float64; NumPy's overflow warning must not reach stderr

@@ -10,9 +10,16 @@ u = cos(theta) with Gauss-Legendre nodes.
 """
 
 import dataclasses
+import json
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +27,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cslrad import emission
 from cslrad.domain import M_NUCLEON, NoiseParams, Particle, ParticleSystem
 from cslrad.emission import (
     RateDensity,
@@ -621,6 +629,11 @@ def _pinned_case(name):
         parts = [Particle(rng.choice((-1.0, 1.0)), M_NUCLEON,
                           _ball_point(rng, 3e-13))
                  for _ in range(60)]
+    elif name == "dense-ball-400":  # every pair near, over several row blocks
+        r_c, energy = 1e-12, 300.0
+        parts = [Particle(rng.choice((-2.0, -1.0, 1.0, 2.0)), M_NUCLEON,
+                          _ball_point(rng, 0.3 * r_c))
+                 for _ in range(400)]
     elif name == "sparse-clumps":  # a lattice 20 r_c apart: mixed blocks
         r_c, energy = 1e-8, 50.0
         sites = rng.sample(range(8 ** 3), 280)
@@ -678,9 +691,13 @@ def _pinned_case(name):
 # the kernel that formed x over every block and weighed each block's near
 # pairs on their own, and guard the block-order sum, the self-pair
 # diagonal and the smallest separation taken from a block's near pairs.
+# dense-ball-400 spans 6 row blocks with every pair near, the walk that
+# helper threads share; its bits come from the single-thread kernel.
 _PINNED_BITS = {
     "dense-ball": ("0x1.729a80f8cfebbp-124", "MIXED", "0x1.45f1338acd870p-41",
                    "0x1.021be326ed4f9p-46", "0x1.5cfc07c346cddp-39"),
+    "dense-ball-400": ("0x1.e1ee0161575e8p-87", "MIXED", "0x1.4bd183287bf54p-41",
+                       "0x1.7c11af43e22f6p-48", "0x1.22d2067810563p-38"),
     "sparse-clumps": ("0x1.99aeef39f30cfp-111", "INCOHERENT", "0x1.415dd276a44d0p-19",
                       "0x1.ee2999b048a70p-30", "0x1.b43b09b418814p-36"),
     "neutral": ("0x1.82a87764dbdc1p-123", "MIXED", "0x1.97331482a4abdp-39",
@@ -700,10 +717,8 @@ _PINNED_BITS = {
 }
 
 
-@pytest.mark.parametrize("rate_first", [True, False],
-                         ids=["rate-first", "regime-first"])
-@pytest.mark.parametrize("name", sorted(_PINNED_BITS))
-def test_pair_kernel_pinned_bits(name, rate_first):
+def _pinned_bits_of(name, rate_first=True):
+    """The pinned fields of one case, from a rate and a regime in either order."""
     system, noise, energy = _pinned_case(name)
     if rate_first:
         rate = rate_general(system, noise, energy)
@@ -711,10 +726,16 @@ def test_pair_kernel_pinned_bits(name, rate_first):
     else:
         regime = classify_regime(system, noise, energy)
         rate = rate_general(system, noise, energy)
-    got = (rate.value.hex(), regime.kind.name, regime.max_separation.hex(),
-           regime.min_separation.hex(), regime.wavelength.hex())
-    assert got == _PINNED_BITS[name]
     assert regime.r_c == noise.r_c
+    return (rate.value.hex(), regime.kind.name, regime.max_separation.hex(),
+            regime.min_separation.hex(), regime.wavelength.hex())
+
+
+@pytest.mark.parametrize("rate_first", [True, False],
+                         ids=["rate-first", "regime-first"])
+@pytest.mark.parametrize("name", sorted(_PINNED_BITS))
+def test_pair_kernel_pinned_bits(name, rate_first):
+    assert _pinned_bits_of(name, rate_first) == _PINNED_BITS[name]
 
 
 def test_lattice_then_clump_walk_mixes_both_block_kinds():
@@ -724,6 +745,164 @@ def test_lattice_then_clump_walk_mixes_both_block_kinds():
     near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
     kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
     assert kinds == [False] * 7 + [True] * 2
+
+
+# --- the walk's helper threads ---------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+SRC = Path(emission.__file__).resolve().parents[1]
+
+
+def run_child(code, *args):
+    """Run code in a fresh Python that imports these tests and the cslrad under test."""
+    paths = [str(TESTS), str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout
+
+
+def test_dense_ball_400_is_a_walk_that_helpers_share(monkeypatch):
+    # the precondition of its pinned bits: 6 whole blocks, every pair near
+    system, noise, _ = _pinned_case("dense-ball-400")
+    near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
+    kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
+    assert kinds == [True] * 6
+    monkeypatch.setattr(emission, "_usable_cpus", lambda: 4)
+    assert emission._walk_threads(system, near_d2) == 4
+    # one block (128 charges at most), a box diagonal past the cutoff or
+    # past float64: the calling thread alone
+    for n, threads in ((128, 1), (129, 4)):
+        assert emission._walk_threads(ParticleSystem(system.particles[:n]),
+                                      near_d2) == threads
+    lattice, lattice_noise, _ = _pinned_case("lattice-then-clump")
+    assert emission._walk_threads(
+        lattice, _PAIR_CUTOFF_X * (2.0 * lattice_noise.r_c ** 2)) == 1
+    far = ParticleSystem((proton(-1e160), proton(1e160), proton()) * 50)
+    assert emission._walk_threads(far, 1e308) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_pinned_bits_on_one_cpu():
+    # only the child is restricted, so it walks with no helper thread
+    out = run_child(
+        "import json, os, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from test_emission import _pinned_bits_of\n"
+        "print(json.dumps([_pinned_bits_of('dense-ball-400', first)\n"
+        "                  for first in (True, False)]))\n"
+        "print(threading.active_count())\n")
+    bits, threads = out.splitlines()
+    assert json.loads(bits) == [list(_PINNED_BITS["dense-ball-400"])] * 2
+    assert threads == "1"
+
+
+def test_pinned_bits_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert emission._usable_cpus() == (os.cpu_count() or 1)
+    for rate_first in (True, False):
+        assert (_pinned_bits_of("dense-ball-400", rate_first)
+                == _PINNED_BITS["dense-ball-400"])
+
+
+def _send_pinned_bits(conn):
+    conn.send((_pinned_bits_of("dense-ball-400"), threading.active_count()))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_walks_with_helpers_of_its_own(monkeypatch):
+    # helpers run in this process first; the child has none of them, and
+    # must not wait for them
+    monkeypatch.setattr(emission, "_usable_cpus", lambda: 2)
+    want = _PINNED_BITS["dense-ball-400"]
+    assert _pinned_bits_of("dense-ball-400") == want
+    assert emission._HELPERS.started >= 1
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    with warnings.catch_warnings():  # forking a threaded process warns on 3.12+
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = context.Process(target=_send_pinned_bits, args=(writer,))
+        child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the forked child did not finish its walk"
+        bits, child_threads = reader.recv()
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert bits == want
+    assert child_threads == 2  # its own thread and the one helper it started
+
+
+def test_an_error_on_a_helper_reaches_the_caller(monkeypatch):
+    system, noise, energy = _pinned_case("dense-ball-400")
+    monkeypatch.setattr(emission, "_usable_cpus", lambda: 2)
+    weigh, helper_failed = emission._pair_weight, threading.Event()
+
+    def fail_on_a_helper(d2, two_rc2, k):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise ValueError("weighed on a helper")
+        assert helper_failed.wait(30), "no helper took a block"
+        return weigh(d2, two_rc2, k)
+
+    monkeypatch.setattr(emission, "_pair_weight", fail_on_a_helper)
+    with pytest.raises(ValueError, match="weighed on a helper"):
+        rate_general(system, noise, energy)
+    assert system._d2_extremes == {}
+    # the helpers serve the next walk as before
+    monkeypatch.setattr(emission, "_pair_weight", weigh)
+    assert _pinned_bits_of("dense-ball-400") == _PINNED_BITS["dense-ball-400"]
+
+
+_THREAD_HYGIENE = """
+import contextlib, io, json, os, sys, threading
+import cslrad
+steps = [("import cslrad", threading.active_count())]
+from cslrad import cli
+inventory, system_file = sys.argv[1:]
+for argv in (["limit"], ["exclusion", "--n-points", "20"],
+             ["signal", "--inventory", inventory],
+             ["shape", "--inventory", inventory, "--n-points", "20"],
+             ["efficiency", "--material", "Ge crystal", "--energy", "1000"],
+             ["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"],
+             ["rate", "--system", system_file], ["regime", "--system", system_file]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps.append((" ".join(argv[:2]), threading.active_count()))
+from test_emission import _pinned_case
+from cslrad.emission import classify_regime, rate_general
+for walk, name in ((classify_regime, "dense-ball-400"),
+                   (rate_general, "lattice-then-clump"),
+                   (rate_general, "dense-ball-400"), (rate_general, "dense-ball-400")):
+    before = set(threading.enumerate())
+    walk(*_pinned_case(name))
+    steps.append((name, [t.daemon for t in set(threading.enumerate()) - before]))
+cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count())
+print(json.dumps({"steps": steps, "cpus": cpus}))
+"""
+
+
+def test_only_a_shared_walk_starts_threads(tmp_path):
+    system_file = tmp_path / "system.json"
+    system_file.write_text(json.dumps([
+        {"charge_e": 1.0, "mass_kg": M_NUCLEON, "position_m": [1e-9 * i, 0.0, 0.0]}
+        for i in range(3)]))
+    inventory = SRC.parent / "scripts" / "data" / "ge_target_inventory.json"
+    out = json.loads(run_child(_THREAD_HYGIENE, str(inventory), str(system_file)))
+    *quiet, regime, sparse, dense, again = out["steps"]
+    assert all(threads == 1 for _, threads in quiet), quiet
+    assert regime == ["dense-ball-400", []]
+    assert sparse == ["lattice-then-clump", []]
+    assert dense[0] == "dense-ball-400"
+    assert dense[1] == [True] * (min(out["cpus"], 6) - 1)  # daemon helpers
+    assert again == ["dense-ball-400", []]
 
 
 @pytest.mark.parametrize("name", ["dense-ball", "sparse-clumps", "box-500"])
