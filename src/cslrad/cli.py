@@ -99,7 +99,7 @@ def cmd_signal(args) -> int:
 
     model = detector.signal_model_from_json(_read(args.inventory))
     if not model.materials:
-        sys.stderr.write("warning: empty material inventory; a = 0\n")
+        warnings.warn("empty material inventory; a = 0")
     contributions = [
         (mat.name, detector.material_signal_constant(mat, model.window))
         for mat in model.materials

@@ -185,51 +185,6 @@ def _self_pairs(d2: np.ndarray) -> np.ndarray:
     return d2.reshape(-1)[::d2.shape[1] + 1]
 
 
-def _pair_d2_blocks(system: ParticleSystem, near_d2: float = math.inf):
-    """Yield (start, d2, near) row blocks of squared pair separations.
-
-    d2 is _block_d2's block for each of _block_bounds, in order.  Every
-    unordered pair i < j lies in the block holding row i: twice (as ij
-    and ji) in the block's leading R x R square, once in the columns
-    beyond it.  The square's diagonal holds the self-pairs.
-
-    A block whose every d2 lies below near_d2 is whole: near is None and
-    the diagonal is 0.  Any other block is mixed: its diagonal is set to
-    inf, and near = (index, values) holds the flat index and d2 of its
-    entries below near_d2, in the order a boolean mask gives.  With the
-    default near_d2 every block is whole.  A block holding a d2 that
-    overflows float64 raises ValueError instead of being yielded, so every
-    d2 a caller sees is finite, except a mixed block's diagonal.
-
-    A caller must be done with a whole block when it asks for the next:
-    the walk then sets its diagonal to inf and scans it for its smallest
-    off-diagonal entry.  A mixed block's smallest entry is its smallest
-    near value; only a mixed block with no near entry is scanned.  Memory
-    stays O(block) however large the system.  A walk run to its end keeps
-    the largest and smallest squared separation of the distinct pairs on
-    the system, as _d2_extremes["max"] and ["min"]; a walk left early
-    keeps nothing.
-    """
-    import numpy as np
-
-    axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
-    max_d2, min_d2 = 0.0, math.inf
-    for start, stop in _block_bounds(axes.shape[1]):
-        d2, d2_max = _block_d2(axes, start, stop)
-        max_d2 = max(max_d2, d2_max)
-        if d2_max < near_d2:
-            yield start, d2, None
-            _self_pairs(d2)[:] = math.inf
-            min_d2 = min(min_d2, float(d2.min()))
-        else:
-            _self_pairs(d2)[:] = math.inf
-            index = np.flatnonzero(d2 < near_d2)
-            values = d2.take(index)
-            min_d2 = min(min_d2, float(values.min() if index.size else d2.min()))
-            yield start, d2, (index, values)
-    system._d2_extremes.update(max=max_d2, min=min_d2)
-
-
 def _sinc_array(b: np.ndarray) -> np.ndarray:
     """coherence_factor over an array: sin(b)/b, and 1 where b == 0."""
     import numpy as np
@@ -246,44 +201,6 @@ def _pair_weight(d2: np.ndarray, two_rc2: float, k: float) -> np.ndarray:
     weight *= 3.0 - x
     weight *= _sinc_array(k * np.sqrt(d2))
     return weight
-
-
-def _pair_weight_blocks(system: ParticleSystem, two_rc2: float, k: float):
-    """Yield (start, weight) for the blocks of _pair_d2_blocks, in order.
-
-    weight is _pair_weight over the block, 0.0 past the cutoff, where
-    exp(-x/2) underflows to exactly 0 anyway.  The near entries of
-    consecutive mixed blocks go through one _pair_weight call, up to
-    _PAIR_BLOCK_ELEMENTS of them, so memory stays O(block); a weight is
-    the same float however its entries are grouped.  A mixed block's
-    self-pairs get 3.0, _pair_weight's value at d = 0.
-    """
-    import numpy as np
-
-    group = []  # (start, shape, near index, near d2) of consecutive mixed blocks
-
-    def flush():
-        if not group:
-            return
-        weights = _pair_weight(np.concatenate([g[3] for g in group]), two_rc2, k)
-        offset = 0
-        for start, shape, index, values in group:
-            weight = np.zeros(shape)
-            weight.put(index, weights[offset:offset + len(values)])
-            _self_pairs(weight)[:] = 3.0
-            offset += len(values)
-            yield start, weight
-        group.clear()
-
-    for start, d2, near in _pair_d2_blocks(system, _PAIR_CUTOFF_X * two_rc2):
-        if near is None or (sum(len(g[3]) for g in group) + len(near[1])
-                            > _PAIR_BLOCK_ELEMENTS):
-            yield from flush()
-        if near is None:
-            yield start, _pair_weight(d2, two_rc2, k)
-        else:
-            group.append((start, d2.shape, *near))
-    yield from flush()
 
 
 def _block_sum(charges: np.ndarray, start: int, weight: np.ndarray) -> float:
@@ -377,55 +294,104 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def _pair_sum_on_threads(system: ParticleSystem, two_rc2: float, k: float,
-                         threads: int) -> float:
-    """rate_general's pair sum over whole row blocks, on up to threads threads.
+def _pair_walk(system: ParticleSystem, two_rc2: float | None = None,
+               k: float = 0.0) -> float:
+    """rate_general's pair sum, from one walk over every pair.
 
-    The calling thread and up to threads - 1 helpers, at most one per
-    block past the first, each take the next block of _block_bounds from
-    one shared iterator, and keep the block's sum and d^2 extremes by its
-    index.  Once the iterator is empty and no block is in hand, the caller
-    adds the sums in block order from 0.0 and combines the extremes with
-    max and min, so the sum and the extremes kept on the system are the
-    single-thread walk's to the bit.  The caller never waits for a helper
-    that has taken no block.  An error in any block stops the walk: it is
-    raised here once no block is in hand, and the system keeps no extremes.
+    The sum is that of q_i q_j _pair_weight(d2_ij) over both orders of
+    every pair and the self-pairs, with 0.0 from d2 = _PAIR_CUTOFF_X *
+    two_rc2 on, where exp(-x/2) underflows to exactly 0 anyway.  Without
+    two_rc2 nothing is weighed and the sum is 0.0.  A walk run to its end
+    keeps the largest and smallest d2 of the distinct pairs on the system,
+    as _d2_extremes["max"] and ["min"].
+
+    Pair i < j lies in the row block of _block_bounds holding row i: twice
+    (ij and ji) in its leading R x R square, whose diagonal holds the
+    self-pairs, and once in the columns beyond.  The calling thread and,
+    in a weighed walk, the helpers _walk_threads allows, at most one per
+    block past the first, take blocks from one shared iterator and keep
+    each block's sum and d2 extremes by its index.  A block whose every d2
+    is below the cutoff is whole and weighed as it is taken.  Any other is
+    mixed: its thread holds the flat index and d2 of its near entries and
+    weighs those it holds, up to _PAIR_BLOCK_ELEMENTS, in one _pair_weight
+    call, so memory stays O(block) per thread; a weight is the same float
+    however its entries are grouped.  Mixed self-pairs weigh 3.0, as at d = 0.
+
+    Once no block is left or in hand, the caller adds the sums in block
+    order from 0.0 and combines the extremes with max and min, so both
+    have the same bits on any number of threads.  The caller never waits
+    for a helper that took no block.  An error in any block, such as a d2
+    that overflows float64, stops the walk: it is raised here once no
+    block is in hand, and the system keeps no extremes.
     """
     import numpy as np
 
     axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
     charges = system._charges
+    near_d2 = math.inf if two_rc2 is None else _PAIR_CUTOFF_X * two_rc2
+    threads = 1 if two_rc2 is None else _walk_threads(system, near_d2)
     bounds = list(_block_bounds(len(system)))
-    todo, claim = iter(enumerate(bounds)), threading.Condition()
+    todo, claim = iter(range(len(bounds))), threading.Condition()
     sums, maxima, minima = ([0.0] * len(bounds) for _ in range(3))
     errors = []
-    in_hand = 0  # blocks taken and not yet done
+    busy = 0  # threads that took a block and are not yet done
+
+    def weigh(held):
+        if not held:
+            return
+        weights = _pair_weight(np.concatenate([h[3] for h in held]), two_rc2, k)
+        offset = 0
+        for i, shape, index, values in held:
+            weight = np.zeros(shape)
+            weight.put(index, weights[offset:offset + len(values)])
+            _self_pairs(weight)[:] = 3.0
+            offset += len(values)
+            sums[i] = _block_sum(charges, bounds[i][0], weight)
+        held.clear()
+
+    def walk(i, held):
+        start, stop = bounds[i]
+        d2, maxima[i] = _block_d2(axes, start, stop)
+        if maxima[i] < near_d2:
+            if two_rc2 is not None:
+                sums[i] = _block_sum(charges, start, _pair_weight(d2, two_rc2, k))
+            _self_pairs(d2)[:] = math.inf
+            minima[i] = float(d2.min())
+            return
+        _self_pairs(d2)[:] = math.inf
+        index = np.flatnonzero(d2 < near_d2)
+        values = d2.take(index)
+        minima[i] = float(values.min() if index.size else d2.min())
+        if sum(len(h[3]) for h in held) + len(values) > _PAIR_BLOCK_ELEMENTS:
+            weigh(held)
+        held.append((i, d2.shape, index, values))
 
     def share():
-        nonlocal in_hand
-        while True:
+        nonlocal busy
+        held = []  # (index, shape, near index, near d2) of mixed blocks not weighed
+        took = False
+        try:
+            while True:
+                with claim:
+                    i = None if errors else next(todo, None)
+                    if i is None:
+                        break
+                    busy += not took
+                    took = True
+                walk(i, held)
+            weigh(held)
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+        if took:
             with claim:
-                block = None if errors else next(todo, None)
-                if block is None:
-                    return
-                in_hand += 1
-            i, (start, stop) = block
-            try:
-                d2, maxima[i] = _block_d2(axes, start, stop)
-                sums[i] = _block_sum(charges, start, _pair_weight(d2, two_rc2, k))
-                _self_pairs(d2)[:] = math.inf
-                minima[i] = float(d2.min())
-            except BaseException as exc:  # raised on the calling thread below
-                errors.append(exc)
-            with claim:
-                in_hand -= 1
-                if not in_hand:
+                busy -= 1
+                if not busy:
                     claim.notify()
 
     _HELPERS.hand(share, min(threads, len(bounds)) - 1)
     share()
     with claim:
-        claim.wait_for(lambda: not in_hand)
+        claim.wait_for(lambda: not busy)
     if errors:
         raise errors[0]
     pair_sum = 0.0
@@ -538,13 +504,7 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # so the rate is the closed rates' prefactor times pair_sum / 3E;
     # dividing by 3 first makes a single integer charge give rate_incoherent
     # exactly.
-    threads = _walk_threads(system, _PAIR_CUTOFF_X * two_rc2)
-    if threads > 1:
-        pair_sum = _pair_sum_on_threads(system, two_rc2, k, threads)
-    else:
-        pair_sum = 0.0
-        for start, weight in _pair_weight_blocks(system, two_rc2, k):
-            pair_sum += _block_sum(system._charges, start, weight)
+    pair_sum = _pair_walk(system, two_rc2, k)
     if not math.isfinite(pair_sum):
         raise ValueError("pair sum overflows float64")
     return RateDensity(prefactor * (pair_sum / 3.0) / energy_kev)
@@ -601,8 +561,7 @@ def classify_regime(system: ParticleSystem, noise: NoiseParams,
 
     extremes = system._d2_extremes
     if not extremes:
-        for _ in _pair_d2_blocks(system):
-            pass
+        _pair_walk(system)
     max_sep, min_sep = math.sqrt(extremes["max"]), math.sqrt(extremes["min"])
     theta = REGIME_THRESHOLD
     if max_sep < theta * min(reduced, noise.r_c):

@@ -355,7 +355,8 @@ def test_signal_empty_inventory(tmp_path, capsys):
                       {"window_kev": [1000.0, 3800.0], "materials": []})
     assert main(["signal", "--inventory", path]) == 0
     captured = capsys.readouterr()
-    assert "empty material inventory" in captured.err
+    assert captured.err == ("cslrad: warning: UserWarning: empty material "
+                            "inventory; a = 0\n")
     assert report_value(captured.out, "total a") == "0.000e+00"
 
 

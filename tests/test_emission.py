@@ -34,7 +34,6 @@ from cslrad.emission import (
     RegimeKind,
     ValidityWarning,
     _PAIR_CUTOFF_X,
-    _pair_d2_blocks,
     _pair_weight,
     _sinc_array,
     atomic_amplification,
@@ -610,6 +609,30 @@ def test_pair_kernel_raises_on_overflow_in_a_mixed_block():
             classify_regime(system, NOISE, 1000.0)
 
 
+def test_pair_kernel_raises_on_overflow_after_held_mixed_blocks(monkeypatch):
+    # a 300-charge lattice, then +-1e154 m on the x axis: every block is
+    # mixed, and only the last, which holds the pair of far charges,
+    # overflows d^2; the 3 blocks before it are held, not yet weighed
+    lattice, noise, energy = _pinned_case("lattice-then-clump")
+    system = ParticleSystem(lattice.particles[:300] + (proton(1e154), proton(-1e154)))
+    assert len(list(emission._block_bounds(len(system)))) == 4
+    weigh, weighed = emission._pair_weight, []
+
+    def counted(d2, two_rc2, k):
+        weighed.append(d2.size)
+        return weigh(d2, two_rc2, k)
+
+    monkeypatch.setattr(emission, "_pair_weight", counted)
+    with pytest.raises(ValueError, match="pair separations overflow"):
+        rate_general(system, noise, energy)
+    assert weighed == []
+    assert system._d2_extremes == {}
+    # nothing held is left over for the next walk
+    assert (_pinned_bits_of("lattice-then-clump")
+            == _PINNED_BITS["lattice-then-clump"])
+    assert weighed
+
+
 def _ball_point(rng, radius):
     while True:
         v = [rng.uniform(-1.0, 1.0) for _ in range(3)]
@@ -738,13 +761,19 @@ def test_pair_kernel_pinned_bits(name, rate_first):
     assert _pinned_bits_of(name, rate_first) == _PINNED_BITS[name]
 
 
+def whole_blocks(system, near_d2):
+    """Per row block of the pair walk, in order: whether every d^2 is below near_d2."""
+    axes = np.ascontiguousarray(system._positions.T)
+    return [emission._block_d2(axes, start, stop)[1] < near_d2
+            for start, stop in emission._block_bounds(len(system))]
+
+
 def test_lattice_then_clump_walk_mixes_both_block_kinds():
     # the precondition of the lattice-then-clump bits: 7 mixed blocks,
     # then 2 whole ones
     system, noise, _ = _pinned_case("lattice-then-clump")
     near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
-    kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
-    assert kinds == [False] * 7 + [True] * 2
+    assert whole_blocks(system, near_d2) == [False] * 7 + [True] * 2
 
 
 # --- the walk's helper threads ---------------------------------------------
@@ -753,10 +782,11 @@ TESTS = Path(__file__).resolve().parent
 SRC = Path(emission.__file__).resolve().parents[1]
 
 
-def run_child(code, *args):
+def run_child(code, *args, **env_vars):
     """Run code in a fresh Python that imports these tests and the cslrad under test."""
     paths = [str(TESTS), str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
@@ -767,8 +797,7 @@ def test_dense_ball_400_is_a_walk_that_helpers_share(monkeypatch):
     # the precondition of its pinned bits: 6 whole blocks, every pair near
     system, noise, _ = _pinned_case("dense-ball-400")
     near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
-    kinds = [near is None for _, _, near in _pair_d2_blocks(system, near_d2)]
-    assert kinds == [True] * 6
+    assert whole_blocks(system, near_d2) == [True] * 6
     monkeypatch.setattr(emission, "_usable_cpus", lambda: 4)
     assert emission._walk_threads(system, near_d2) == 4
     # one block (128 charges at most), a box diagonal past the cutoff or
@@ -783,20 +812,35 @@ def test_dense_ball_400_is_a_walk_that_helpers_share(monkeypatch):
     assert emission._walk_threads(far, 1e308) == 1
 
 
+_CHILD_PINNED_BITS = """
+import json, os, sys, threading
+if sys.argv[1:] == ["one-cpu"]:  # before NumPy loads, so OpenBLAS sees one CPU too
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from test_emission import _PINNED_BITS, _pinned_bits_of
+print(json.dumps({name: [_pinned_bits_of(name, first) for first in (True, False)]
+                  for name in _PINNED_BITS}))
+print(threading.active_count())
+"""
+
+
+def pinned_bits_in_a_child(*args, **env_vars):
+    """Every pinned case's bits, in both call orders, and the thread count after."""
+    bits, threads = run_child(_CHILD_PINNED_BITS, *args, **env_vars).splitlines()
+    assert json.loads(bits) == {name: [list(want)] * 2
+                                for name, want in _PINNED_BITS.items()}
+    return int(threads)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
 def test_pinned_bits_on_one_cpu():
     # only the child is restricted, so it walks with no helper thread
-    out = run_child(
-        "import json, os, threading\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from test_emission import _pinned_bits_of\n"
-        "print(json.dumps([_pinned_bits_of('dense-ball-400', first)\n"
-        "                  for first in (True, False)]))\n"
-        "print(threading.active_count())\n")
-    bits, threads = out.splitlines()
-    assert json.loads(bits) == [list(_PINNED_BITS["dense-ball-400"])] * 2
-    assert threads == "1"
+    assert pinned_bits_in_a_child("one-cpu") == 1
+
+
+def test_pinned_bits_with_one_blas_thread():
+    # a dense walk's threads each run a single-threaded OpenBLAS gemv
+    pinned_bits_in_a_child(OPENBLAS_NUM_THREADS="1")
 
 
 def test_pinned_bits_without_sched_getaffinity(monkeypatch):

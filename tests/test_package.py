@@ -28,10 +28,10 @@ def test_all_lists_exactly_the_public_names():
     assert public - set(cslrad.__all__) == set()
 
 
-def top_level_definitions(path: Path) -> set[str]:
+def top_level_definitions(source: str) -> set[str]:
     """The names a module's own top-level statements define."""
     names = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -43,7 +43,8 @@ def top_level_definitions(path: Path) -> set[str]:
 def test_every_public_name_is_its_defining_modules_object():
     for module_name in sorted(set(cslrad._MODULE_OF.values())):
         module = importlib.import_module(f"cslrad.{module_name}")
-        defined = top_level_definitions(Path(module.__file__))
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        defined = top_level_definitions(source)
         names = [n for n in cslrad.__all__ if cslrad._MODULE_OF[n] == module_name]
         assert [n for n in names if n not in defined] == []
         assert [n for n in names if getattr(cslrad, n) is not getattr(module, n)] == []
@@ -117,6 +118,52 @@ def test_unused_import_check_finds_what_it_should():
               "def g():\n"
               "    return np\n")
     assert unused_imports(source) == ["2: math", "3: path", "8: np"]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names no source refers to, as "module: name".
+
+    sources maps module names to their text.  A reference is a name read,
+    an attribute or an imported name, in any of the sources; storing to a
+    name is not one.  Dunder names count as used.
+    """
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{module}: {name}" for module, source in sources.items()
+                  for name in top_level_definitions(source)
+                  if name.startswith("_") and not name.endswith("__")
+                  and name not in used)
+
+
+def test_every_private_name_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unused_private_names(sources) == []
+
+
+def test_unused_private_name_check_finds_what_it_should():
+    sources = {"a": ("_read = 1\n"
+                     "_imported = 2\n"
+                     "_attribute = 3\n"
+                     "_stored: int = 4\n"
+                     "_stored = 5\n"
+                     "__dunder__ = 6\n"
+                     "public = 7\n"
+                     "def _unused():\n"
+                     "    return public\n"
+                     "class _Unused:\n"
+                     "    pass\n"
+                     "print(_read)\n"),
+               "b": ("from .a import _imported\n"
+                     "from . import a\n"
+                     "public = a._attribute\n")}
+    assert unused_private_names(sources) == ["a: _Unused", "a: _stored", "a: _unused"]
 
 
 def readme_command_lines():
