@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -139,9 +140,17 @@ def kev_to_joule(energy_kev: float) -> float:
 
 
 def wavelength_from_energy(energy_kev: float) -> float:
-    """Photon wavelength 2*pi*hbar*c / E in meters, for E in keV."""
+    """Photon wavelength 2*pi*hbar*c / E in meters, for E in keV.
+
+    Below ~1.4e-292 keV, E in joules is no normal float64 (it is subnormal
+    or 0), so the wavelength would lose digits or divide by 0: ValueError.
+    """
     check_finite_positive(energy_kev, "photon energy")
-    return 2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c / kev_to_joule(energy_kev)
+    energy_j = kev_to_joule(energy_kev)
+    if energy_j < sys.float_info.min:
+        raise ValueError(f"photon energy {format_value(energy_kev)} keV is too "
+                         "small: in joules it underflows float64")
+    return 2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c / energy_j
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ Rates are reported per keV: dGamma/dE in 1/(keV s) with E in keV.
 
 from __future__ import annotations
 
-import collections
 import enum
 import math
 import os
+import queue
 import threading
 import warnings
 from dataclasses import dataclass
@@ -223,22 +223,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_threads(system: ParticleSystem, near_d2: float) -> int:
+def _walk_threads(axes: np.ndarray, near_d2: float) -> int:
     """How many threads may share a rate_general walk: 1, or the usable CPUs.
 
-    Only a walk of several blocks in which every pair is near is shared;
-    any other walk, which cuts pairs or has one block, runs on the calling
-    thread.  Every pair is near when the positions' bounding box is: each
-    |x_i - x_j| and its square round to at most the box's, summed in the
-    same order, so the box's d^2 bounds every pair's.
+    axes holds the walk's positions, rows x, y, z.  Only a walk of several
+    blocks in which every pair is near is shared; any other walk, which
+    cuts pairs or has one block, runs on the calling thread.  Every pair
+    is near when the positions' bounding box is: each |x_i - x_j| and its
+    square round to at most the box's, summed in the same order, so the
+    box's d^2 bounds every pair's.
     """
     import numpy as np
 
-    if len(system) ** 2 <= _PAIR_BLOCK_ELEMENTS:  # one block
+    if axes.shape[1] ** 2 <= _PAIR_BLOCK_ELEMENTS:  # one block
         return 1
-    axes = np.ascontiguousarray(system._positions.T)  # rows reduce ~10x faster
     with np.errstate(over="ignore"):  # an inf diagonal is simply not near
-        side = axes.max(axis=1) - axes.min(axis=1)
+        side = axes.max(axis=1) - axes.min(axis=1)  # rows reduce ~10x faster
         side2 = side * side
         diagonal2 = side2[0] + side2[1] + side2[2]
     if not diagonal2 < near_d2:
@@ -246,48 +246,39 @@ def _walk_threads(system: ParticleSystem, near_d2: float) -> int:
     return _usable_cpus()
 
 
-class _Helpers:
-    """Daemon threads that run shares of pair walks, started on first use.
-
-    A share is a callable.  The helpers take the shares handed to them in
-    turn, so a share may start after its walk is done; it then finds no
-    block left and returns.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()  # held while handing out shares
-        self.shares = collections.deque()
-        self.ready = threading.Semaphore(0)  # counts the shares not yet taken
-        self.started = 0
-
-    def hand(self, share, count: int) -> None:
-        """Hand share to count helpers, starting those not yet running."""
-        with self.lock:
-            while self.started < count:
-                try:
-                    threading.Thread(target=self._serve, name="cslrad-pair-walk",
-                                     daemon=True).start()
-                except RuntimeError:  # the system gives no more threads
-                    break
-                self.started += 1
-            for _ in range(min(count, self.started)):
-                self.shares.append(share)
-                self.ready.release()
-
-    def _serve(self) -> None:
-        while True:
-            self.ready.acquire()
-            self.shares.popleft()()
+# Shares of pair walks, callables that daemon helper threads, started on
+# first use, take in turn.  A share may start after its walk is done; it
+# then finds no block left and returns.
+_shares = queue.SimpleQueue()
+_helpers_lock = threading.Lock()  # held while starting and handing to helpers
+_helpers_started = 0
 
 
-_HELPERS = _Helpers()
+def _serve(shares: queue.SimpleQueue) -> None:
+    while True:
+        shares.get()()
+
+
+def _hand(share, count: int) -> None:
+    """Hand share to count helpers, starting those not yet running."""
+    global _helpers_started
+    with _helpers_lock:
+        while _helpers_started < count:
+            try:
+                threading.Thread(target=_serve, args=(_shares,),
+                                 name="cslrad-pair-walk", daemon=True).start()
+            except RuntimeError:  # the system gives no more threads
+                break
+            _helpers_started += 1
+        for _ in range(min(count, _helpers_started)):
+            _shares.put(share)
 
 
 def _forget_helpers() -> None:
     # A forked child has only the thread that forked: its parent's helpers,
-    # and any lock one of them held, did not come with it.
-    global _HELPERS
-    _HELPERS = _Helpers()
+    # and the lock another thread may have held, did not come with it.
+    global _shares, _helpers_lock, _helpers_started
+    _shares, _helpers_lock, _helpers_started = queue.SimpleQueue(), threading.Lock(), 0
 
 
 if hasattr(os, "register_at_fork"):
@@ -309,34 +300,37 @@ def _pair_walk(system: ParticleSystem, two_rc2: float | None = None,
     (ij and ji) in its leading R x R square, whose diagonal holds the
     self-pairs, and once in the columns beyond.  The calling thread and,
     in a weighed walk, the helpers _walk_threads allows, at most one per
-    block past the first, take blocks from one shared iterator and keep
-    each block's sum and d2 extremes by its index.  A block whose every d2
-    is below the cutoff is whole and weighed as it is taken.  Any other is
-    mixed: its thread holds the flat index and d2 of its near entries and
-    weighs those it holds, up to _PAIR_BLOCK_ELEMENTS, in one _pair_weight
-    call, so memory stays O(block) per thread; a weight is the same float
-    however its entries are grouped.  Mixed self-pairs weigh 3.0, as at d = 0.
+    block past the first, claim blocks in order and keep each block's sum
+    and d2 extremes by its index.  A block whose every d2 is below the
+    cutoff is whole and weighed as it is taken.  Any other is mixed; only
+    unshared walks have one, so only the calling thread holds the flat
+    index and d2 of their near entries, weighing those it holds, up to
+    _PAIR_BLOCK_ELEMENTS, in one _pair_weight call: memory stays O(block),
+    and a weight is the same float however its entries are grouped.
+    Mixed self-pairs weigh 3.0, as at d = 0.
 
-    Once no block is left or in hand, the caller adds the sums in block
-    order from 0.0 and combines the extremes with max and min, so both
-    have the same bits on any number of threads.  The caller never waits
-    for a helper that took no block.  An error in any block, such as a d2
-    that overflows float64, stops the walk: it is raised here once no
-    block is in hand, and the system keeps no extremes.
+    Each claimed block sends the caller one token, None or the block's
+    error.  Once no block is left, the caller takes as many tokens as
+    blocks were claimed, so it never waits for a helper that took none,
+    weighs what it holds, adds the sums in block order from 0.0 and
+    combines the extremes with max and min: both have the same bits on any
+    number of threads.  An error, such as a d2 that overflows float64,
+    stops further claims and is raised here once every claimed block is
+    done; the system then keeps no extremes.
     """
     import numpy as np
 
     axes = np.ascontiguousarray(system._positions.T)  # rows x, y, z
     charges = system._charges
     near_d2 = math.inf if two_rc2 is None else _PAIR_CUTOFF_X * two_rc2
-    threads = 1 if two_rc2 is None else _walk_threads(system, near_d2)
+    threads = 1 if two_rc2 is None else _walk_threads(axes, near_d2)
     bounds = list(_block_bounds(len(system)))
-    todo, claim = iter(range(len(bounds))), threading.Condition()
     sums, maxima, minima = ([0.0] * len(bounds) for _ in range(3))
-    errors = []
-    busy = 0  # threads that took a block and are not yet done
+    held = []  # (index, shape, near index, near d2) of mixed blocks not weighed
+    claim, claimed, failed = threading.Lock(), 0, False
+    tokens = queue.SimpleQueue()  # one per claimed block: None, or its error
 
-    def weigh(held):
+    def weigh():
         if not held:
             return
         weights = _pair_weight(np.concatenate([h[3] for h in held]), two_rc2, k)
@@ -349,7 +343,7 @@ def _pair_walk(system: ParticleSystem, two_rc2: float | None = None,
             sums[i] = _block_sum(charges, bounds[i][0], weight)
         held.clear()
 
-    def walk(i, held):
+    def walk(i):
         start, stop = bounds[i]
         d2, maxima[i] = _block_d2(axes, start, stop)
         if maxima[i] < near_d2:
@@ -363,37 +357,31 @@ def _pair_walk(system: ParticleSystem, two_rc2: float | None = None,
         values = d2.take(index)
         minima[i] = float(values.min() if index.size else d2.min())
         if sum(len(h[3]) for h in held) + len(values) > _PAIR_BLOCK_ELEMENTS:
-            weigh(held)
+            weigh()
         held.append((i, d2.shape, index, values))
 
     def share():
-        nonlocal busy
-        held = []  # (index, shape, near index, near d2) of mixed blocks not weighed
-        took = False
-        try:
-            while True:
-                with claim:
-                    i = None if errors else next(todo, None)
-                    if i is None:
-                        break
-                    busy += not took
-                    took = True
-                walk(i, held)
-            weigh(held)
-        except BaseException as exc:  # raised on the calling thread below
-            errors.append(exc)
-        if took:
+        nonlocal claimed, failed
+        while True:
             with claim:
-                busy -= 1
-                if not busy:
-                    claim.notify()
+                if failed or claimed == len(bounds):
+                    return
+                i, claimed = claimed, claimed + 1
+            try:
+                walk(i)
+            except BaseException as exc:  # raised on the calling thread below
+                with claim:
+                    failed = True
+                tokens.put(exc)
+            else:
+                tokens.put(None)
 
-    _HELPERS.hand(share, min(threads, len(bounds)) - 1)
+    _hand(share, min(threads, len(bounds)) - 1)
     share()
-    with claim:
-        claim.wait_for(lambda: not busy)
-    if errors:
-        raise errors[0]
+    for error in [tokens.get() for _ in range(claimed)]:
+        if error is not None:
+            raise error
+    weigh()
     pair_sum = 0.0
     for block_sum in sums:
         pair_sum += block_sum

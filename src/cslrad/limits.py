@@ -19,6 +19,7 @@ result is flagged instead of going negative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -176,7 +177,8 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
     lam_max = (Lambda_bar - z_b - 2) * r_c^2 / a; a non-positive budget
     yields a flagged result with lambda_max None rather than a negative
     rate.  A lam_max beyond float64 raises ValueError, as in
-    exclusion_curve.
+    exclusion_curve, and so does one below the smallest normal float64,
+    which would report 0 or a value that lost digits as a bound.
     """
     check_finite_positive(r_c, "correlation length r_c")
     lambda_bar, quota = _signal_quota(exp, credibility)
@@ -186,8 +188,9 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
             lambda_max = quota * r_c ** 2 / exp.a
         except OverflowError:  # float ** raises where * and / give inf
             lambda_max = math.inf
-        if not math.isfinite(lambda_max):
-            raise ValueError(f"lambda_max is not finite at r_c = {format_value(r_c)} m "
+        if not sys.float_info.min <= lambda_max < math.inf:
+            problem = "underflows float64" if lambda_max < 1.0 else "is not finite"
+            raise ValueError(f"lambda_max {problem} at r_c = {format_value(r_c)} m "
                              f"and a = {format_value(exp.a)} s m^2")
     return UpperLimit(lambda_max=lambda_max, r_c=r_c, credibility=credibility,
                       lambda_bar_c=lambda_bar, signal_quota=quota)

@@ -204,10 +204,16 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     # counts that do not fit in a float64
     ["limit", "--z-c", "9" * 401],
     ["limit", "--z-b", "9" * 401],
+    # the photon energy in joules underflows to 0
+    ["regime", "--system", "x.json", "--energy", "1e-310"],
+    # lambda_max underflows to 0, or to a subnormal that lost digits
+    ["limit", "--r-c", "1e-170"],
+    ["limit", "--r-c", "1e-161"],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
         "efficiency", "rate-system-r_c", "rate-system-r_c-huge",
         "limit-z_c-401-digits",
-        "limit-z_b-401-digits"])
+        "limit-z_b-401-digits", "regime-energy-tiny", "limit-r_c-tiny",
+        "limit-r_c-subnormal"])
 def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     if "--system" in argv:
         argv = list(argv)
@@ -657,35 +663,49 @@ def test_signal_clamp_warns_once_per_material(tmp_path):
     (["exclusion", "--n-points", "8"], "limits"),
     (["rate", "--atoms", "1e20", "--na", "32", "--energy", "50"], "emission"),
     (["rate", "--system", "x.json", "--energy", "50"], "emission"),
+    # 200 charges in a 1e-8 m cube at the default r_c: every pair near,
+    # over 2 blocks, so the walk is shared where 2 or more CPUs are usable
+    (["rate", "--system", "dense.json", "--energy", "50"], "emission"),
     (["regime", "--system", "x.json"], "emission"),
     (["signal", "--inventory", str(GE_INVENTORY)], "detector"),
     (["shape", "--inventory", str(GE_INVENTORY), "--n-points", "8"], "detector"),
     (["efficiency", "--material", "Ge crystal", "--energy", "1000"], "detector"),
-], ids=["limit", "exclusion", "rate-atoms", "rate-system", "regime", "signal", "shape",
-        "efficiency"])
+], ids=["limit", "exclusion", "rate-atoms", "rate-system", "rate-system-shared",
+        "regime", "signal", "shape", "efficiency"])
 def test_each_subcommand_loads_only_its_stage(argv, runs, tmp_path):
     # one fresh interpreter per call; detector builds on emission, so a
     # detector call may load it
+    shared = "dense.json" in argv
+    if shared:
+        cube = np.random.default_rng(0).uniform(0.0, 1e-8, (200, 3))
+        dense = proton_system(tmp_path, *cube.tolist())
+        argv = [dense if a == "dense.json" else a for a in argv]
     argv = [proton_system(tmp_path, (0, 0, 0), (1e-15, 0, 0)) if a == "x.json"
             else a for a in argv]
     probe = textwrap.dedent("""
-        import json, sys
+        import json, os, sys, threading
         from cslrad import cli
         code = cli.main(json.loads(sys.argv[1]))
-        print(json.dumps([code, sorted(sys.modules)]))
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        print(json.dumps([code, sorted(sys.modules), threading.active_count(), cpus]))
     """)
     result = subprocess.run(
         [sys.executable, "-c", probe, json.dumps([*argv, "--output",
                                                   str(tmp_path / "out")])],
         env=child_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout.splitlines()[-1])
+    code, modules, threads, cpus = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("cslrad.")}
     assert runs in loaded
     never = {"limits": {"detector", "emission"}, "emission": {"limits", "detector"},
              "detector": {"limits"}}[runs]
     assert loaded & never == set()
+    # the shared walk's helpers are plain threads: a thread pool would load
+    # concurrent.futures, which loads logging, on every emission call
+    assert {"concurrent.futures", "logging"} & set(modules) == set()
+    assert threads == (min(cpus, 2) if shared else 1)
 
 
 def test_import_cslrad_loads_no_submodule():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ def test_wavelength_inverse_in_energy(e_kev):
 def test_wavelength_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         wavelength_from_energy(bad)
+
+
+@pytest.mark.parametrize("tiny", [1e-307, 1e-310])
+def test_wavelength_rejects_energy_whose_joules_are_not_normal(tiny):
+    # 1e-307 keV is a subnormal 1.6e-323 J, whose quotient read 1.340e+298 m
+    # for the true 1.240e+298 m; 1e-310 keV is 0.0 J
+    with pytest.raises(ValueError, match="photon energy .* underflows float64"):
+        wavelength_from_energy(tiny)
+
+
+def test_wavelength_at_the_smallest_normal_joules():
+    e_kev = 1.4e-292  # 2.24e-308 J, just above sys.float_info.min
+    assert kev_to_joule(e_kev) >= sys.float_info.min
+    prod = wavelength_from_energy(e_kev) * kev_to_joule(e_kev)
+    assert prod == pytest.approx(2.0 * math.pi * HBAR * C_LIGHT, rel=1e-13)
 
 
 def test_noise_params_validation():

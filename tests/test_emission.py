@@ -20,6 +20,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -761,9 +762,14 @@ def test_pair_kernel_pinned_bits(name, rate_first):
     assert _pinned_bits_of(name, rate_first) == _PINNED_BITS[name]
 
 
+def axes_of(system):
+    """A system's positions as the pair walk reads them: rows x, y, z."""
+    return np.ascontiguousarray(system._positions.T)
+
+
 def whole_blocks(system, near_d2):
     """Per row block of the pair walk, in order: whether every d^2 is below near_d2."""
-    axes = np.ascontiguousarray(system._positions.T)
+    axes = axes_of(system)
     return [emission._block_d2(axes, start, stop)[1] < near_d2
             for start, stop in emission._block_bounds(len(system))]
 
@@ -799,17 +805,41 @@ def test_dense_ball_400_is_a_walk_that_helpers_share(monkeypatch):
     near_d2 = _PAIR_CUTOFF_X * (2.0 * noise.r_c * noise.r_c)
     assert whole_blocks(system, near_d2) == [True] * 6
     monkeypatch.setattr(emission, "_usable_cpus", lambda: 4)
-    assert emission._walk_threads(system, near_d2) == 4
+    assert emission._walk_threads(axes_of(system), near_d2) == 4
     # one block (128 charges at most), a box diagonal past the cutoff or
     # past float64: the calling thread alone
     for n, threads in ((128, 1), (129, 4)):
-        assert emission._walk_threads(ParticleSystem(system.particles[:n]),
-                                      near_d2) == threads
+        assert emission._walk_threads(
+            axes_of(ParticleSystem(system.particles[:n])), near_d2) == threads
     lattice, lattice_noise, _ = _pinned_case("lattice-then-clump")
     assert emission._walk_threads(
-        lattice, _PAIR_CUTOFF_X * (2.0 * lattice_noise.r_c ** 2)) == 1
+        axes_of(lattice), _PAIR_CUTOFF_X * (2.0 * lattice_noise.r_c ** 2)) == 1
     far = ParticleSystem((proton(-1e160), proton(1e160), proton()) * 50)
-    assert emission._walk_threads(far, 1e308) == 1
+    assert emission._walk_threads(axes_of(far), 1e308) == 1
+
+
+# The bounding-box argument of _walk_threads, where it is tightest: two
+# charges at opposite corners of the box make the walk's largest d^2 the
+# box's own, and the box is scaled to within a few ulps of the cutoff.
+@settings(max_examples=60)
+@given(st.integers(min_value=129, max_value=400),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=-12.0, max_value=-6.0),
+       st.integers(min_value=-6, max_value=6))
+def test_a_shared_walk_has_only_whole_blocks(n, seed, log_r_c, ulps):
+    rng = np.random.default_rng(seed)
+    near_d2 = _PAIR_CUTOFF_X * (2.0 * (10.0 ** log_r_c) ** 2)
+    unit = rng.uniform(-1.0, 1.0, (n, 3))
+    corners = rng.choice(n, 2, replace=False)
+    unit[corners] = unit.min(axis=0), unit.max(axis=0)
+    side = unit.max(axis=0) - unit.min(axis=0)
+    scale = math.sqrt(near_d2 / float(side @ side)) * (1.0 + ulps * 2.0 ** -52)
+    system = ParticleSystem(tuple(Particle(1.0, M_NUCLEON, tuple(x))
+                                  for x in (scale * unit).tolist()))
+    with mock.patch.object(emission, "_usable_cpus", lambda: 2):
+        shared = emission._walk_threads(axes_of(system), near_d2) > 1
+    if shared:
+        assert all(whole_blocks(system, near_d2))
 
 
 _CHILD_PINNED_BITS = """
@@ -863,7 +893,7 @@ def test_a_forked_child_walks_with_helpers_of_its_own(monkeypatch):
     monkeypatch.setattr(emission, "_usable_cpus", lambda: 2)
     want = _PINNED_BITS["dense-ball-400"]
     assert _pinned_bits_of("dense-ball-400") == want
-    assert emission._HELPERS.started >= 1
+    assert emission._helpers_started >= 1
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
     with warnings.catch_warnings():  # forking a threaded process warns on 3.12+
@@ -901,6 +931,37 @@ def test_an_error_on_a_helper_reaches_the_caller(monkeypatch):
     assert system._d2_extremes == {}
     # the helpers serve the next walk as before
     monkeypatch.setattr(emission, "_pair_weight", weigh)
+    assert _pinned_bits_of("dense-ball-400") == _PINNED_BITS["dense-ball-400"]
+
+
+def test_concurrent_walks_keep_their_bits(monkeypatch):
+    # three callers' walks at once, two of them shared: the helpers' queue
+    # holds shares of different walks side by side, and a block claimed
+    # twice or not at all would change a sum's bits
+    monkeypatch.setattr(emission, "_usable_cpus", lambda: 2)
+    names = ["dense-ball-400", "dense-ball-400", "lattice-then-clump"]
+    start, results = threading.Barrier(len(names)), {}
+
+    def run(slot):
+        start.wait(30)
+        try:
+            results[slot] = _pinned_bits_of(names[slot])
+        except Exception as exc:  # reported on the main thread below
+            results[slot] = exc
+
+    others = [threading.Thread(target=run, args=(slot,)) for slot in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the claims' bytecodes
+    try:
+        for thread in others:
+            thread.start()
+        run(0)
+        for thread in others:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in others)
+    assert results == {slot: _PINNED_BITS[name] for slot, name in enumerate(names)}
     assert _pinned_bits_of("dense-ball-400") == _PINNED_BITS["dense-ball-400"]
 
 

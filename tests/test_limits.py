@@ -407,12 +407,16 @@ def test_exclusion_curve_rejects_overflowing_lambda():
 @pytest.mark.parametrize("a, r_c", [
     (DEFAULT_SIGNAL_CONSTANT, 1e160),  # r_c ** 2 overflows
     (1e-320, 1e100),                   # the division by a overflows
+    (DEFAULT_SIGNAL_CONSTANT, 1e-170),  # r_c ** 2 underflows to 0
+    (DEFAULT_SIGNAL_CONSTANT, 1e-161),  # a subnormal lambda_max, digits lost
 ])
 def test_upper_limit_rejects_overflowing_lambda(a, r_c):
     exp = CountingExperiment(z_c=576, z_b=506, a=a)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError,
+                           match=r"lambda_max (is not finite|underflows float64) "
+                                 r"at r_c = .* m and a = .* s m\^2"):
             upper_limit_lambda(exp, r_c)
 
 
