@@ -20,6 +20,7 @@ closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from .domain import (EnergyWindow, NoiseParams, check_count,
                      check_finite_nonnegative, check_finite_positive, to_float)
 from .emission import _charge_rate_prefactor, atomic_amplification
-from .specfun import horner, integrate
+from . import specfun
+from .specfun import horner
 
 _BETA = _charge_rate_prefactor(NoiseParams(lambda_collapse=1.0, r_c=1.0))
 
@@ -39,6 +41,15 @@ class EfficiencyClampWarning(UserWarning):
 def beta_constant() -> float:
     """hbar e^2 / (4 pi^2 eps0 c^3 m0^2), in m^2."""
     return _BETA
+
+
+# specfun.integrate, remembered per (coeffs, a, b) for the 256 most recently
+# used: an analysis folds a handful of fits over one window many times over.
+# Keys equal in value share an entry, as an int window and its float or 0.0
+# and -0.0 coefficients do; specfun.integrate floats its bounds and only
+# adds, multiplies and compares coefficients, so either gives the same bits.
+# Errors are raised on every call and never remembered.
+integrate = functools.lru_cache(maxsize=256)(specfun.integrate)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,6 @@ from typing import TYPE_CHECKING
 from .domain import (DEFAULT_CREDIBILITY, DEFAULT_SIGNAL_CONSTANT, check_count,
                      check_finite_nonnegative, check_finite_positive,
                      format_value)
-# The reference counts are domain's, beside the other defaults, so the
-# CLI's flags need no limits; limits.DEFAULT_* stay importable.
-from .domain import DEFAULT_BACKGROUND_COUNTS, DEFAULT_OBSERVED_COUNTS  # noqa: F401
 # reg_lower_gamma is not called here, but perfbench's tracer wraps
 # limits.reg_lower_gamma, so the name stays importable from this module.
 from .specfun import gamma_quantile, ln_gamma, reg_lower_gamma  # noqa: F401
@@ -170,6 +167,14 @@ def _signal_quota(exp: CountingExperiment, credibility: float):
     return lambda_bar, lambda_bar - exp.z_b - 2.0
 
 
+def _check_lambda_max(lambda_max: float, r_c: float, a: float) -> None:
+    """Refuse a lam_max past float64 or below its smallest normal value."""
+    if not sys.float_info.min <= lambda_max < math.inf:
+        problem = "underflows float64" if lambda_max < 1.0 else "is not finite"
+        raise ValueError(f"lambda_max {problem} at r_c = {format_value(r_c)} m "
+                         f"and a = {format_value(a)} s m^2")
+
+
 def upper_limit_lambda(exp: CountingExperiment, r_c: float,
                        credibility: float = DEFAULT_CREDIBILITY) -> UpperLimit:
     """Bound the collapse rate at correlation length r_c.
@@ -188,10 +193,7 @@ def upper_limit_lambda(exp: CountingExperiment, r_c: float,
             lambda_max = quota * r_c ** 2 / exp.a
         except OverflowError:  # float ** raises where * and / give inf
             lambda_max = math.inf
-        if not sys.float_info.min <= lambda_max < math.inf:
-            problem = "underflows float64" if lambda_max < 1.0 else "is not finite"
-            raise ValueError(f"lambda_max {problem} at r_c = {format_value(r_c)} m "
-                             f"and a = {format_value(exp.a)} s m^2")
+        _check_lambda_max(lambda_max, r_c, exp.a)
     return UpperLimit(lambda_max=lambda_max, r_c=r_c, credibility=credibility,
                       lambda_bar_c=lambda_bar, signal_quota=quota)
 
@@ -203,7 +205,9 @@ def exclusion_curve(exp: CountingExperiment,
     """Sample lam_max over a log-uniform r_c grid.
 
     The count quantile does not depend on r_c, so it is solved once and
-    the whole grid is one array expression.
+    the whole grid is one array expression.  As in upper_limit_lambda, a
+    lam_max outside float64's normal range raises ValueError; lam_max
+    rises with r_c, so checking the grid's two ends is enough.
     """
     import numpy as np
 
@@ -218,9 +222,10 @@ def exclusion_curve(exp: CountingExperiment,
             f"signal quota {quota:.3e} is not positive at credibility "
             f"{credibility}; no exclusion curve exists")
     grid = np.logspace(math.log10(r_c_min), math.log10(r_c_max), n_points)
-    # lam_max overflowing to inf is rejected by ExclusionCurve.
     with np.errstate(over="ignore"):
         points = np.column_stack((grid, quota * grid ** 2 / exp.a))
+    for r_c, lambda_max in (points[0].tolist(), points[-1].tolist()):
+        _check_lambda_max(lambda_max, r_c, exp.a)
     return ExclusionCurve(points=points, credibility=credibility,
                           lambda_bar_c=lambda_bar)
 

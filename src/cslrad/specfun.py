@@ -23,7 +23,6 @@ grows as 1/(1 - p): 4.5e-15 at 0.999 and 2.5e-10 at 1 - 1e-8 for s = 1,
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -430,32 +429,7 @@ def integrate(coeffs, a: float, b: float) -> tuple[float, bool]:
     on any part of [a, b].  Each piece [lo, hi] between sign changes on
     which p is positive adds c0 ln(hi/lo) + sum_j c_j (hi^j - lo^j) / j.
     A result that is not finite raises ValueError.
-
-    Results are memoized per (coeffs, a, b), up to the 256 most recently
-    used; the key also holds each coefficient's type, so 1 and 1.0, which
-    hash alike, are integrated apart.  The function is pure, so a
-    remembered result is the one a new solve would give, bit for bit.
-    Errors are not remembered: a bad window or an integral that is not
-    finite raises on every call.
     """
-    try:
-        key = tuple(coeffs)
-        return _integrate_memo(key, tuple(map(type, key)), a, b)
-    except TypeError:  # coeffs not a sequence, or unhashable: solve unmemoized
-        return _integrate(coeffs, a, b)
-
-
-# Distinct (coeffs, a, b) that integrate remembers.  An analysis integrates
-# a handful of fits over one window, many times over.
-_INTEGRATE_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_INTEGRATE_MEMO_SIZE)
-def _integrate_memo(coeffs: tuple, kinds: tuple, a, b) -> tuple[float, bool]:
-    return _integrate(coeffs, a, b)
-
-
-def _integrate(coeffs, a, b) -> tuple[float, bool]:
     total, clamped = 0.0, False
     try:
         a, b = float(a), float(b)

@@ -209,11 +209,12 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     # lambda_max underflows to 0, or to a subnormal that lost digits
     ["limit", "--r-c", "1e-170"],
     ["limit", "--r-c", "1e-161"],
+    ["exclusion", "--r-c-min", "1e-161", "--r-c-max", "1e-160", "--n-points", "2"],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
         "efficiency", "rate-system-r_c", "rate-system-r_c-huge",
         "limit-z_c-401-digits",
         "limit-z_b-401-digits", "regime-energy-tiny", "limit-r_c-tiny",
-        "limit-r_c-subnormal"])
+        "limit-r_c-subnormal", "exclusion-r_c-subnormal"])
 def test_overflowing_numbers_exit_1(argv, capsys, tmp_path):
     if "--system" in argv:
         argv = list(argv)

@@ -365,6 +365,23 @@ def test_compute_a_calls_no_eval_efficiency(monkeypatch):
     assert calls == []
 
 
+def test_every_compute_a_calls_integrate_once_per_material(monkeypatch):
+    # the benchmark's tracer counts calls of the module attribute
+    # detector.integrate, so a call its memo answers must reach it too
+    calls = []
+    real = detector.integrate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detector, "integrate", counted)
+    model = table1_model()
+    compute_a(model)
+    compute_a(model)
+    assert len(calls) == 10
+
+
 def test_compute_a_rejects_a_window_past_float64():
     model = SignalModel((ge_material(),), EnergyWindow(1000.0, 1e300))
     with pytest.raises(ValueError, match="not finite"):

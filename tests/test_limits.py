@@ -7,6 +7,7 @@ inverse.  Posterior normalization is checked by direct quadrature.
 
 import io
 import math
+import sys
 import warnings
 
 import mpmath
@@ -15,11 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cslrad.domain import check_count
+from cslrad.domain import (DEFAULT_BACKGROUND_COUNTS, DEFAULT_OBSERVED_COUNTS,
+                           check_count)
 from cslrad.limits import (
-    DEFAULT_BACKGROUND_COUNTS,
     DEFAULT_CREDIBILITY,
-    DEFAULT_OBSERVED_COUNTS,
     DEFAULT_SIGNAL_CONSTANT,
     CountingExperiment,
     ExclusionCurve,
@@ -402,6 +402,47 @@ def test_exclusion_curve_rejects_overflowing_lambda():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             exclusion_curve(REFERENCE, r_c_max=1e160, n_points=3)
+
+
+LAMBDA_RANGE_ERROR = (r"lambda_max (is not finite|underflows float64) "
+                      r"at r_c = .* m and a = .* s m\^2")
+
+
+@pytest.mark.parametrize("r_c_min, r_c_max", [
+    (1e-161, 1e-160),  # subnormal lambda_max values, digits lost
+    (1e-161, 1e-7),    # a subnormal lambda_max at the first point only
+    (1e-170, 1e-7),    # r_c ** 2 underflows to 0 at the first point
+    (1e-7, 1e160),     # r_c ** 2 overflows at the last point
+])
+def test_exclusion_curve_rejects_lambda_outside_the_normal_range(r_c_min, r_c_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=LAMBDA_RANGE_ERROR) as err:
+            exclusion_curve(REFERENCE, r_c_min=r_c_min, r_c_max=r_c_max, n_points=2)
+    assert not isinstance(err.value, NoPositiveLimitError)
+
+
+@given(st.floats(min_value=-170.0, max_value=160.0),
+       st.floats(min_value=0.01, max_value=20.0),
+       st.integers(min_value=2, max_value=6))
+def test_exclusion_curve_refuses_what_upper_limit_refuses(log_min, decades, n_points):
+    # the curve is refused exactly when one of its grid points is
+    r_c_min, r_c_max = 10.0 ** log_min, 10.0 ** (log_min + decades)
+    grid = np.logspace(math.log10(r_c_min), math.log10(r_c_max), n_points)
+    refused = False
+    for r_c in grid.tolist():
+        try:
+            upper_limit_lambda(REFERENCE, r_c)
+        except ValueError:
+            refused = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(ValueError, match=LAMBDA_RANGE_ERROR):
+                exclusion_curve(REFERENCE, r_c_min, r_c_max, n_points)
+        else:
+            curve = exclusion_curve(REFERENCE, r_c_min, r_c_max, n_points)
+            assert curve.lambda_values[0] >= sys.float_info.min
 
 
 @pytest.mark.parametrize("a, r_c", [

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cslrad import specfun
+from cslrad import detector, specfun
 from cslrad.detector import (
     PAPER_TABLE_1,
     EfficiencyClampWarning,
@@ -652,10 +652,9 @@ def table_1_model():
 
 
 def test_sign_changes_take_few_horner_calls(horner_calls):
-    # bisecting every root to adjacent floats took 533 calls here; the memo
-    # starts empty so that every fit is solved
-    specfun._integrate_memo.cache_clear()
-    compute_a(table_1_model())
+    # bisecting every root to adjacent floats took 533 calls here
+    for fit in PAPER_TABLE_1.values():
+        integrate(fit.coeffs, 1000.0, 3800.0)
     assert 0 < len(horner_calls) <= 250
 
 
@@ -685,8 +684,9 @@ def test_integrate_rejects_bad_interval():
 
 
 # --- integrate's memo -------------------------------------------------------
-# integrate remembers its results per (coeffs, a, b); _integrate is the
-# unmemoized solve, the oracle a remembered result must match bit for bit.
+# detector.integrate is integrate remembered per (coeffs, a, b); integrate,
+# which keeps nothing, is the oracle a remembered result must match bit for
+# bit.
 
 def bits(result):
     total, clamped = result
@@ -696,11 +696,11 @@ def bits(result):
 @pytest.mark.parametrize("material", sorted(PAPER_TABLE_1))
 def test_memo_returns_the_cold_bits_on_table_1(material):
     coeffs = PAPER_TABLE_1[material].coeffs
-    specfun._integrate_memo.cache_clear()
-    cold = integrate(coeffs, 1000.0, 3800.0)
-    warm = integrate(coeffs, 1000.0, 3800.0)
-    assert specfun._integrate_memo.cache_info()[:2] == (1, 1)  # hits, misses
-    assert bits(warm) == bits(cold) == bits(specfun._integrate(coeffs, 1000.0, 3800.0))
+    detector.integrate.cache_clear()
+    cold = detector.integrate(coeffs, 1000.0, 3800.0)
+    warm = detector.integrate(coeffs, 1000.0, 3800.0)
+    assert detector.integrate.cache_info()[:2] == (1, 1)  # hits, misses
+    assert bits(warm) == bits(cold) == bits(integrate(coeffs, 1000.0, 3800.0))
 
 
 @given(st.lists(st.floats(min_value=-10.0, max_value=10.0),
@@ -716,11 +716,11 @@ def test_memo_returns_the_cold_bits(q, a, width, clamp):
          *q[1:]]
     m = a + 0.5 * width if clamp else 0.0
     coeffs = tuple(u - m * v for u, v in zip([0.0, *q], [*q, 0.0]))
-    specfun._integrate_memo.cache_clear()
-    cold = integrate(coeffs, a, b)
-    warm = integrate(coeffs, a, b)
+    detector.integrate.cache_clear()
+    cold = detector.integrate(coeffs, a, b)
+    warm = detector.integrate(coeffs, a, b)
     assert cold[1] == clamp
-    assert bits(warm) == bits(cold) == bits(specfun._integrate(coeffs, a, b))
+    assert bits(warm) == bits(cold) == bits(integrate(coeffs, a, b))
 
 
 @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
@@ -732,45 +732,26 @@ def test_signed_zero_coefficients_integrate_alike(coeffs, flips, a, width):
     # 0.0 == -0.0 and they hash alike, so the memo gives one for the other;
     # the solve only adds them, multiplies them and compares against 0, so
     # both give the same bits
+    coeffs = tuple(coeffs)
     flipped = tuple(-c if c == 0.0 and flip else c for c, flip in zip(coeffs, flips))
     try:
-        want = bits(specfun._integrate(tuple(coeffs), a, a + width))
+        want = bits(integrate(coeffs, a, a + width))
     except ValueError:
         return
-    assert bits(specfun._integrate(flipped, a, a + width)) == want
-    specfun._integrate_memo.cache_clear()
-    integrate(coeffs, a, a + width)
     assert bits(integrate(flipped, a, a + width)) == want
+    detector.integrate.cache_clear()
+    detector.integrate(coeffs, a, a + width)
+    assert bits(detector.integrate(flipped, a, a + width)) == want
 
 
 def test_memo_keys_that_compare_equal():
     coeffs = (0.0, -2000.0, 1.0)
-    specfun._integrate_memo.cache_clear()
-    want = bits(integrate(list(coeffs), 1000, 3800))
-    assert bits(integrate(coeffs, 1000.0, 3800.0)) == want  # list, int window
-    assert bits(integrate((-0.0, -2000.0, 1.0), 1000.0, 3800.0)) == want
-    assert specfun._integrate_memo.cache_info()[:2] == (2, 1)
-    # an int coefficient keys apart from the float it equals
-    assert bits(integrate((0, -2000, 1), 1000.0, 3800.0)) == want
-    assert specfun._integrate_memo.cache_info()[:2] == (2, 2)
-    assert bits(specfun._integrate((0, -2000, 1), 1000.0, 3800.0)) == want
-
-
-def test_memo_keeps_int_and_float_coefficients_apart():
-    # the derivative's 2 * 1.7e308 is inf as a float, which the tiny window
-    # never sees, but an int too large for a float, which it cannot add
-    big = 1.7e308
-    assert integrate((0.0, 0.0, big), 1e-200, 2e-200) == (0.0, False)
-    with pytest.raises(ValueError, match="not finite"):
-        integrate((0, 0, int(big)), 1e-200, 2e-200)
-
-
-def test_memo_leaves_unhashable_coefficients_to_the_solve():
-    zero_d = [np.array(1.0)]
-    assert bits(integrate(zero_d, 1000.0, 3800.0)) == bits(
-        integrate((1.0,), 1000.0, 3800.0))
-    with pytest.raises(ValueError, match="requires 0 < a < b < inf"):
-        integrate(5.0, 2.0, 1.0)  # the window is checked first, as ever
+    detector.integrate.cache_clear()
+    want = bits(detector.integrate(coeffs, 1000, 3800))
+    assert bits(detector.integrate(coeffs, 1000.0, 3800.0)) == want  # int window
+    assert bits(detector.integrate((-0.0, -2000.0, 1.0), 1000.0, 3800.0)) == want
+    assert detector.integrate.cache_info()[:2] == (2, 1)  # hits, misses
+    assert bits(integrate(coeffs, 1000.0, 3800.0)) == want
 
 
 @pytest.mark.parametrize("coeffs, window, match", [
@@ -780,15 +761,16 @@ def test_memo_leaves_unhashable_coefficients_to_the_solve():
     (PAPER_TABLE_1["Ge crystal"].coeffs, (1e-320, 1.0), "not finite"),
 ])
 def test_memo_raises_on_every_call(coeffs, window, match):
-    specfun._integrate_memo.cache_clear()
+    detector.integrate.cache_clear()
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
-            integrate(coeffs, *window)
-    assert specfun._integrate_memo.cache_info().currsize == 0
+            detector.integrate(coeffs, *window)
+    info = detector.integrate.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)
 
 
 def test_equal_model_makes_no_horner_calls(horner_calls):
-    specfun._integrate_memo.cache_clear()
+    detector.integrate.cache_clear()
     want = compute_a(table_1_model())
     assert horner_calls
     horner_calls.clear()
@@ -801,7 +783,7 @@ def test_clamped_fit_warns_on_every_compute_a():
     model = SignalModel((MaterialComponent(
         name="half", n_protons=1, atoms_per_kg=1.0, mass=1.0, live_time=1.0,
         efficiency=fit),), EnergyWindow(1000.0, 3800.0))
-    specfun._integrate_memo.cache_clear()
+    detector.integrate.cache_clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(3):  # cold, then warm twice
@@ -811,12 +793,12 @@ def test_clamped_fit_warns_on_every_compute_a():
 
 
 def test_memo_is_bounded():
-    maxsize = specfun._integrate_memo.cache_info().maxsize
+    maxsize = detector.integrate.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 1024
-    specfun._integrate_memo.cache_clear()
+    detector.integrate.cache_clear()
     for k in range(maxsize + 10):
-        integrate((1.0, float(k)), 1000.0, 3800.0)
-    assert specfun._integrate_memo.cache_info().currsize == maxsize
+        detector.integrate((1.0, float(k)), 1000.0, 3800.0)
+    assert detector.integrate.cache_info().currsize == maxsize
 
 
 def test_convergence_error_is_runtime_error():
