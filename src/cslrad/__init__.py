@@ -30,7 +30,7 @@ _EXPORTS = {
         "signal_model_from_json", "signal_shape",
     ),
     "emission": (
-        "EmissionRegime", "RateDensity", "RegimeKind", "ValidityWarning",
+        "EmissionRegime", "RegimeKind", "ValidityWarning",
         "atomic_amplification", "classify_regime", "coherence_factor",
         "f_ij_point", "j_ij_expectation", "rate_atomic", "rate_coherent",
         "rate_general", "rate_incoherent",

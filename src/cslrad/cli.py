@@ -166,7 +166,7 @@ def cmd_rate(args) -> int:
         f"  collapse rate        {noise.lambda_collapse:.3e} 1/s",
         f"  correlation length   {noise.r_c:.3e} m",
         f"  energy               {args.energy:.3e} keV",
-        f"  dGamma/dE            {float(density):.3e} 1/(keV s)",
+        f"  dGamma/dE            {density:.3e} 1/(keV s)",
     ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -22,6 +22,7 @@ import enum
 import math
 import os
 import queue
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -72,22 +73,6 @@ _PAIR_CUTOFF_X = 1500.0
 
 class ValidityWarning(UserWarning):
     """Inputs are outside the validity range of the emission formula."""
-
-
-@dataclass(frozen=True)
-class RateDensity:
-    """Differential emission rate dGamma/dE in 1/(keV s)."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError(f"rate density is not finite ({self.value}); "
-                             "the inputs overflow float64")
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class RegimeKind(enum.Enum):
@@ -434,34 +419,49 @@ def j_ij_expectation(omega: float, r_i, r_j, f_total: float, f_z: float,
 def _charge_rate_prefactor(noise: NoiseParams) -> float:
     """hbar*lam*e^2 / (4 pi^2 eps0 m0^2 r_c^2 c^3): single unit-charge scale, 1/s."""
     try:
-        denominator = (4.0 * math.pi ** 2 * CONSTANTS.eps0 * M_NUCLEON ** 2
-                       * noise.r_c ** 2 * CONSTANTS.c ** 3)
+        r_c_term = (4.0 * math.pi ** 2 * CONSTANTS.eps0 * M_NUCLEON ** 2
+                    * noise.r_c ** 2)
     except OverflowError:  # r_c ** 2 past the float64 range
         raise ValueError(f"r_c = {noise.r_c} m is too large: the rate's "
                          "r_c^2 denominator overflows float64") from None
-    if denominator == 0.0:
+    if r_c_term < sys.float_info.min:  # subnormal, or 0: digits already lost
         raise ValueError(f"r_c = {noise.r_c} m is too small: the rate's "
-                         "r_c^2 denominator underflows to 0")
+                         "r_c^2 term underflows float64's normal range")
     return (CONSTANTS.hbar * noise.lambda_collapse * CONSTANTS.e_charge ** 2
-            / denominator)
+            / (r_c_term * CONSTANTS.c ** 3))
 
 
-def rate_incoherent(charges_e, noise: NoiseParams, energy_kev: float) -> RateDensity:
+def _rate_density(prefactor: float, amplification, energy_kev: float) -> float:
+    """dGamma/dE = prefactor * amplification / energy_kev as a finite float."""
+    try:
+        rate = float(prefactor * amplification / energy_kev)
+    except OverflowError:  # an int amplification too large for a float
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError(f"rate density is not finite ({rate}); "
+                         "the inputs overflow float64")
+    return rate
+
+
+def rate_incoherent(charges_e, noise: NoiseParams, energy_kev: float) -> float:
     """Incoherent emission: amplification sum q_i^2 (charges in units of e)."""
     check_finite_positive(energy_kev, "energy")
     amplification = sum(q * q for q in charges_e)
-    return RateDensity(_charge_rate_prefactor(noise) * amplification / energy_kev)
+    return _rate_density(_charge_rate_prefactor(noise), amplification, energy_kev)
 
 
-def rate_coherent(charges_e, noise: NoiseParams, energy_kev: float) -> RateDensity:
+def rate_coherent(charges_e, noise: NoiseParams, energy_kev: float) -> float:
     """Coherent emission: amplification (sum q_i)^2 (charges in units of e)."""
     check_finite_positive(energy_kev, "energy")
-    amplification = sum(charges_e) ** 2
-    return RateDensity(_charge_rate_prefactor(noise) * amplification / energy_kev)
+    try:
+        amplification = sum(charges_e) ** 2
+    except OverflowError:  # a float sum whose square leaves float64
+        amplification = math.inf
+    return _rate_density(_charge_rate_prefactor(noise), amplification, energy_kev)
 
 
 def rate_general(system: ParticleSystem, noise: NoiseParams,
-                 energy_kev: float) -> RateDensity:
+                 energy_kev: float) -> float:
     """Full double-sum rate for an arbitrary rigid point-charge system.
 
     Uses the closed-form pair correlation of f_ij_point and the sinc
@@ -493,9 +493,7 @@ def rate_general(system: ParticleSystem, noise: NoiseParams,
     # dividing by 3 first makes a single integer charge give rate_incoherent
     # exactly.
     pair_sum = _pair_walk(system, two_rc2, k)
-    if not math.isfinite(pair_sum):
-        raise ValueError("pair sum overflows float64")
-    return RateDensity(prefactor * (pair_sum / 3.0) / energy_kev)
+    return _rate_density(prefactor, pair_sum / 3.0, energy_kev)
 
 
 def atomic_amplification(n_a: int, include_electrons: bool = True) -> float:
@@ -509,7 +507,7 @@ def atomic_amplification(n_a: int, include_electrons: bool = True) -> float:
 
 
 def rate_atomic(n_atoms: float, n_a: int, noise: NoiseParams, energy_kev: float,
-                include_electrons: bool = True) -> RateDensity:
+                include_electrons: bool = True) -> float:
     """Emission rate of n_atoms atoms of atomic number n_a.
 
     The nucleus emits coherently (N_A^2); the electrons add an incoherent
@@ -529,7 +527,7 @@ def rate_atomic(n_atoms: float, n_a: int, noise: NoiseParams, energy_kev: float,
             f"{ELECTRON_VALIDITY_MAX_KEV:g} keV relativistic threshold",
             ValidityWarning, stacklevel=2)
     amplification = n_atoms * atomic_amplification(n_a, include_electrons)
-    return RateDensity(_charge_rate_prefactor(noise) * amplification / energy_kev)
+    return _rate_density(_charge_rate_prefactor(noise), amplification, energy_kev)
 
 
 def classify_regime(system: ParticleSystem, noise: NoiseParams,

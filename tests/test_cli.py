@@ -196,6 +196,9 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["rate", "--atoms", "1e300", "--na", "94", "--energy", "1e-300"],
     ["rate", "--atoms", "1e300", "--na", "94", "--r-c", "1e-300"],
     ["rate", "--atoms", "1e20", "--na", str(10 ** 180 + 7)],
+    # the rate's r_c^2 term is subnormal: the rate would lose digits
+    ["rate", "--atoms", "1", "--na", "1", "--r-c", "1e-130", "--energy", "50",
+     "--no-electrons"],
     ["efficiency", "--material", "Pb shield", "--energy", "1e300"],
     # 2 r_c^2 underflows to 0 in the pair kernel
     ["rate", "--system", "x.json", "--r-c", "1e-300"],
@@ -211,7 +214,7 @@ def test_non_finite_file_inputs_exit_1(tmp_path, capsys):
     ["limit", "--r-c", "1e-161"],
     ["exclusion", "--r-c-min", "1e-161", "--r-c-max", "1e-160", "--n-points", "2"],
 ], ids=["limit-r_c", "limit-a", "rate-energy", "rate-r_c", "rate-na",
-        "efficiency", "rate-system-r_c", "rate-system-r_c-huge",
+        "rate-r_c-subnormal", "efficiency", "rate-system-r_c", "rate-system-r_c-huge",
         "limit-z_c-401-digits",
         "limit-z_b-401-digits", "regime-energy-tiny", "limit-r_c-tiny",
         "limit-r_c-subnormal", "exclusion-r_c-subnormal"])

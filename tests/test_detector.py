@@ -305,7 +305,7 @@ def test_signal_density_is_the_nuclear_atomic_rate_times_efficiency(
     noise = NoiseParams(lambda_collapse=lam, r_c=r_c)
     want = sum(
         rate_atomic(mat.alpha, mat.n_protons, noise, energy,
-                    include_electrons=False).value
+                    include_electrons=False)
         * eval_efficiency(mat.efficiency, energy)
         for mat in model.materials)
     got = signal_density(model, lam / r_c ** 2, energy)

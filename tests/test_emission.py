@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from cslrad import emission
 from cslrad.domain import M_NUCLEON, NoiseParams, Particle, ParticleSystem
 from cslrad.emission import (
-    RateDensity,
     RegimeKind,
     ValidityWarning,
     _PAIR_CUTOFF_X,
@@ -369,7 +368,20 @@ def test_atomic_amplification_rejects_overflow(include_electrons):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rate_density_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not finite"):
-        RateDensity(bad)
+        rate_incoherent([bad], NOISE, 50.0)
+
+
+@pytest.mark.parametrize("rate, charges", [
+    (rate_incoherent, [1e200]),
+    (rate_coherent, [1e200]),
+    (rate_incoherent, [10 ** 400]),
+    (rate_coherent, [10 ** 400]),
+], ids=["incoherent-float", "coherent-float", "incoherent-int", "coherent-int"])
+def test_closed_rates_reject_overflowing_charges(rate, charges):
+    # the amplification leaves float64: the documented ValueError, not an
+    # OverflowError from the square or from an int's conversion
+    with pytest.raises(ValueError, match="rate density is not finite"):
+        rate(charges, NOISE, 1.0)
 
 
 def test_atomic_rate_rejects_overflow():
@@ -379,7 +391,9 @@ def test_atomic_rate_rejects_overflow():
             rate_atomic(1e300, 94, NOISE, 1e-300)
 
 
-@pytest.mark.parametrize("r_c", [1e-300, 1e-150])
+# 4 pi^2 eps0 m0^2 r_c^2 is subnormal below r_c ~ 4.77e-123 m, where the
+# rate would have lost digits (-1% at 1e-130), and 0 below ~5e-131 m.
+@pytest.mark.parametrize("r_c", [1e-300, 1e-150, 1e-130, 4.7e-123])
 def test_closed_rates_reject_underflowing_r_c(r_c):
     noise = NoiseParams(lambda_collapse=1e-16, r_c=r_c)
     for rate in (rate_incoherent, rate_coherent):
@@ -387,6 +401,24 @@ def test_closed_rates_reject_underflowing_r_c(r_c):
             rate([1.0], noise, 50.0)
     with pytest.raises(ValueError, match="underflows"):
         rate_atomic(1e300, 94, noise, 50.0)
+
+
+@pytest.mark.parametrize("rate, amplification", [
+    (lambda noise: rate_atomic(1.0, 1, noise, 50.0), 2),
+    (lambda noise: rate_incoherent([1.0], noise, 50.0), 1),
+    (lambda noise: rate_coherent([1.0, 1.0], noise, 50.0), 4),
+    (lambda noise: rate_general(ParticleSystem((proton(),)), noise, 50.0), 1),
+], ids=["atomic", "incoherent", "coherent", "general"])
+def test_rates_just_above_the_subnormal_r_c_term_are_exact(rate, amplification):
+    # 4 pi^2 eps0 m0^2 r_c^2 is normal from r_c ~ 4.77e-123 m on, so the
+    # rate keeps every digit there
+    r_c = 4.8e-123
+    got = rate(NoiseParams(lambda_collapse=1e-16, r_c=r_c))
+    with mp.workdps(40):
+        want = (mp.mpf(HBAR) * mp.mpf(1e-16) * mp.mpf(E_CHARGE) ** 2 * amplification
+                / (4 * mp.pi ** 2 * mp.mpf(EPS0) * mp.mpf(M_NUCLEON) ** 2
+                   * mp.mpf(r_c) ** 2 * mp.mpf(C_LIGHT) ** 3 * 50))
+        assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("r_c", [1.35e154, 1e160, 1.7976931348623157e308])
@@ -521,11 +553,14 @@ def test_general_positive_for_same_sign_clusters(n, log_scale, seed):
 
 def test_general_value_is_a_python_float():
     system = ParticleSystem((proton(), proton(1e-12)))
+    charges = [np.float64(1.0), np.float64(-2.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        density = rate_general(system, NOISE, 1000.0)
-        assert type(density.value) is float
-        assert type(float(density)) is float
+        for result in (rate_general(system, NOISE, 1000.0),
+                       rate_incoherent(charges, NOISE, 1000.0),
+                       rate_coherent(charges, NOISE, 1000.0),
+                       rate_atomic(np.float64(1e24), np.int64(32), NOISE, 50.0)):
+            assert type(result) is float
 
 
 def _general_pair_sum_by_loop(particles, noise, energy_kev):
@@ -751,7 +786,7 @@ def _pinned_bits_of(name, rate_first=True):
         regime = classify_regime(system, noise, energy)
         rate = rate_general(system, noise, energy)
     assert regime.r_c == noise.r_c
-    return (rate.value.hex(), regime.kind.name, regime.max_separation.hex(),
+    return (rate.hex(), regime.kind.name, regime.max_separation.hex(),
             regime.min_separation.hex(), regime.wavelength.hex())
 
 
@@ -1040,10 +1075,10 @@ def test_a_replaced_system_keeps_no_extremes():
     assert classify_regime(moved, noise, energy).max_separation == 1e-15
 
 
-@pytest.mark.parametrize("r_c", [1e-300, 1e-150])
+@pytest.mark.parametrize("r_c", [1e-300, 1e-150, 1e-130, 4.7e-123])
 def test_general_rejects_underflowing_r_c(r_c):
     # 2 r_c^2 underflows (1e-300) or the closed rates already refuse r_c
-    # (1e-150); either way the error names r_c, with no NumPy warning
+    # (the rest); either way the error names r_c, with no NumPy warning
     noise = NoiseParams(lambda_collapse=1e-16, r_c=r_c)
     system = ParticleSystem((proton(), proton(1e-12)))
     with warnings.catch_warnings():
